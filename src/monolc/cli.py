@@ -17,7 +17,6 @@ from .cech import cech_dims
 from .ideals import (
     MonomialIdeal,
     MultiDegree,
-    ParseError,
     format_ideal,
     format_monomial,
     parse_ideal,
@@ -332,9 +331,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,11 @@
 """Exact rank computation for sparse matrices over Q or a prime field.
 
-No floating point anywhere: the rational path clears denominators and
-runs a fraction-free integer elimination, the modular path reduces
-mod p.  Pivoting is deterministic, so repeated runs agree exactly.
+No floating point anywhere.  Entries first become integers, row by
+row: over Q each row's denominators are cleared, over GF(p) entries
+are reduced mod p.  One sparse elimination then serves both fields.
+It is fraction-free over Z, and over GF(p) it scales each pivot row
+so the pivot is 1, which leaves reduction mod p as the only modular
+step.  Pivoting is deterministic, so repeated runs agree exactly.
 """
 
 from __future__ import annotations
@@ -120,11 +123,32 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _row_dicts(matrix: SparseMatrix) -> list[dict[int, object]]:
-    rows: dict[int, dict[int, object]] = {}
+def _integer_rows(matrix: SparseMatrix, p: int | None) -> list[dict[int, int]]:
+    """Group the entries by row as nonzero integers.
+
+    Over Q each row is scaled by the lcm of its denominators; over
+    GF(p) each entry is reduced into [0, p).
+    """
+    grouped: dict[int, dict[int, object]] = {}
     for (r, c), v in matrix.entries.items():
-        rows.setdefault(r, {})[c] = v
-    return [rows[r] for r in sorted(rows)]
+        grouped.setdefault(r, {})[c] = v
+    rows = []
+    for r in sorted(grouped):
+        row = grouped[r]
+        if p is None:
+            lcm = math.lcm(*(v.denominator for v in row.values()))
+            rows.append({c: int(v * lcm) for c, v in row.items()})
+            continue
+        ints = {}
+        for c, v in row.items():
+            d = v.denominator
+            if d % p == 0:
+                raise ValueError(f"denominator of {v} vanishes mod {p}")
+            iv = (v.numerator if d == 1 else v.numerator * pow(d, -1, p)) % p
+            if iv:
+                ints[c] = iv
+        rows.append(ints)
+    return rows
 
 
 def _strip_gcd(row: dict[int, int]) -> None:
@@ -138,7 +162,8 @@ def _strip_gcd(row: dict[int, int]) -> None:
             row[c] //= g
 
 
-def _rank_over_q(rows: list[dict[int, int]]) -> int:
+def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
+    """Rank of integer rows over Q (p is None) or GF(p); consumes rows."""
     active = {i: r for i, r in enumerate(rows) if r}
     col_users: dict[int, set[int]] = {}
     for rid, row in active.items():
@@ -153,6 +178,12 @@ def _rank_over_q(rows: list[dict[int, int]]) -> int:
             col_users[c].discard(prid)
         pcol = min(prow, key=lambda c: (abs(prow[c]) != 1, len(col_users[c]), c))
         pval = prow[pcol]
+        if p is not None and pval != 1:
+            # a unit pivot keeps the fraction-free steps below out of GF(p)
+            inv = pow(pval, -1, p)
+            for c in prow:
+                prow[c] = prow[c] * inv % p
+            pval = 1
         rank += 1
         for rid in sorted(col_users[pcol]):
             row = active[rid]
@@ -170,6 +201,8 @@ def _rank_over_q(rows: list[dict[int, int]]) -> int:
                 if c == pcol:
                     continue
                 cur = row.get(c, 0) - scale_piv * v
+                if p is not None:
+                    cur %= p
                 if cur:
                     if c not in row:
                         col_users.setdefault(c, set()).add(rid)
@@ -184,74 +217,10 @@ def _rank_over_q(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def _rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
-    active = {i: r for i, r in enumerate(rows) if r}
-    col_users: dict[int, set[int]] = {}
-    for rid, row in active.items():
-        for c in row:
-            col_users.setdefault(c, set()).add(rid)
-    rank = 0
-    while active:
-        prid = min(active, key=lambda r: (len(active[r]), r))
-        prow = active.pop(prid)
-        for c in prow:
-            col_users[c].discard(prid)
-        pcol = min(prow, key=lambda c: (len(col_users[c]), c))
-        inv = pow(prow[pcol], -1, p)
-        rank += 1
-        for rid in sorted(col_users[pcol]):
-            row = active[rid]
-            factor = (row.pop(pcol) * inv) % p
-            col_users[pcol].discard(rid)
-            for c, v in prow.items():
-                if c == pcol:
-                    continue
-                cur = (row.get(c, 0) - factor * v) % p
-                if cur:
-                    if c not in row:
-                        col_users.setdefault(c, set()).add(rid)
-                    row[c] = cur
-                elif c in row:
-                    del row[c]
-                    col_users[c].discard(rid)
-            if not row:
-                del active[rid]
-    return rank
-
-
 def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
     """Rank of the matrix over the given field.
 
     Rational entries are allowed for either field; over GF(p) a
     denominator divisible by p is an error.
     """
-    raw = _row_dicts(matrix)
-    if field.is_rationals:
-        rows = []
-        for row in raw:
-            lcm = 1
-            for v in row.values():
-                if isinstance(v, Fraction):
-                    lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-            cleaned = {}
-            for c, v in row.items():
-                iv = int(v * lcm)
-                if iv:
-                    cleaned[c] = iv
-            rows.append(cleaned)
-        return _rank_over_q(rows)
-    p = field.p
-    rows = []
-    for row in raw:
-        cleaned = {}
-        for c, v in row.items():
-            if isinstance(v, Fraction):
-                if v.denominator % p == 0:
-                    raise ValueError(f"denominator of {v} vanishes mod {p}")
-                iv = (v.numerator * pow(v.denominator, -1, p)) % p
-            else:
-                iv = v % p
-            if iv:
-                cleaned[c] = iv
-        rows.append(cleaned)
-    return _rank_mod_p(rows, p)
+    return _eliminate(_integer_rows(matrix, field.p), field.p)

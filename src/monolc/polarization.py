@@ -90,7 +90,8 @@ def polarize_ideal(ideal: MonomialIdeal) -> PolarizedIdeal:
     gens = tuple(polarize_monomial(m, rho_vec) for m in ideal.gens)
     out = MonomialIdeal(names, gens)
     # a minimal system stays minimal under polarization
-    assert len(out.gens) == len(ideal.gens)
+    if len(out.gens) != len(ideal.gens):
+        raise AssertionError("polarization changed the number of minimal generators")
     return PolarizedIdeal(ideal=out, origin_n=ideal.n, rho=rho_vec)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .ideals import Monomial, MonomialIdeal, MultiDegree, format_ideal, rho
 from .linalg import FieldSpec
@@ -74,16 +75,16 @@ class VerificationReport:
         }
 
 
-def _compare_window(
+def _compare(
     degree: MultiDegree,
     lhs: dict[int, int],
     rhs: dict[int, int],
     shift: int,
-    window: range,
+    indices: Iterable[int],
 ) -> list[Mismatch]:
-    """Expect lhs[i] == rhs[i + shift] for every i in the window."""
+    """Expect lhs[i] == rhs[i + shift] for every i in indices."""
     out = []
-    for i in window:
+    for i in indices:
         l = lhs.get(i, 0)
         r = rhs.get(i + shift, 0)
         if l != r:
@@ -108,7 +109,7 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
         lhs = lc_dims(ideal, degree, field)
         alpha = degree_map(degree, polarized.rho)
         rhs = lc_dims(polarized.ideal, alpha, field)
-        main.extend(_compare_window(degree, lhs, rhs, shift, range(n + 1)))
+        main.extend(_compare(degree, lhs, rhs, shift, range(n + 1)))
         for idx, d in rhs.items():
             if not shift <= idx <= shift + n:
                 window.append(Mismatch(degree.entries, idx - shift, 0, d))
@@ -166,14 +167,14 @@ def verify_reduction_chain(
     if all(e < 0 or e == bounds[j] - 1 for j, e in enumerate(degree.entries)):
         restricted, sub, drop = _step2_data(ideal, degree)
         rhs = lc_dims(restricted, sub, field)
-        fails = _compare_window(degree, lhs, rhs, -drop, range(n + 1))
+        fails = _compare(degree, lhs, rhs, -drop, range(n + 1))
         checks.append(CheckResult("step2_restriction", 1, n + 1, tuple(fails)))
     for j in range(1, n + 1):
         e = degree.entries[j - 1]
         if 0 <= e < bounds[j - 1] - 1:
             capped, extended, tail = _step3_data(ideal, degree, j, bounds)
             rhs = lc_dims(capped, extended, field)
-            fails = _compare_window(degree, lhs, rhs, tail, range(n + 1))
+            fails = _compare(degree, lhs, rhs, tail, range(n + 1))
             checks.append(
                 CheckResult(f"step3_partial_polarization_j{j}", 1, n + 1, tuple(fails))
             )
@@ -221,10 +222,14 @@ def verify_reduction_to_degree_zero(
 
     bounds = rho(current_ideal)
     if current_degree.leq(tuple(r - 1 for r in bounds)):
-        assert current_degree.entries == tuple(r - 1 for r in bounds)
+        if current_degree.entries != tuple(r - 1 for r in bounds):
+            raise AssertionError(
+                f"terminal degree {current_degree.entries} is not rho - 1"
+            )
         polarized = polarize_ideal(current_ideal)
         alpha = degree_map(current_degree, polarized.rho)
-        assert all(e == 0 for e in alpha.entries)
+        if any(alpha.entries):
+            raise AssertionError(f"terminal degree maps to {alpha.entries}, not 0")
         final = lc_dims(polarized.ideal, alpha, field)
         shift = polarized.rho_total - current_ideal.n
         fails, seen = _union_compare(current_degree, current, final, shift)
@@ -256,14 +261,8 @@ def _union_compare(
 ) -> tuple[list[Mismatch], int]:
     """Full-map equality of lhs and the shifted rhs; also counts the
     indices inspected."""
-    indices = set(lhs) | {i - shift for i in rhs}
-    out = []
-    for i in sorted(indices):
-        l = lhs.get(i, 0)
-        r = rhs.get(i + shift, 0)
-        if l != r:
-            out.append(Mismatch(degree.entries, i, l, r))
-    return out, len(indices)
+    indices = sorted(set(lhs) | {i - shift for i in rhs})
+    return _compare(degree, lhs, rhs, shift, indices), len(indices)
 
 
 def verify_depth_shift(ideal: MonomialIdeal, field: FieldSpec) -> VerificationReport:

@@ -154,6 +154,10 @@ class TestRank:
         assert rank(mat, Q) == 1
         mat2 = SparseMatrix.from_dense([[Fraction(1, 3), 1], [1, 2]])
         assert rank(mat2, Q) == 2
+        whole = SparseMatrix.from_dense([[Fraction(4, 2), 2], [Fraction(6, 3), 3]])
+        assert rank(whole, Q) == 2
+        assert rank(whole, F2) == 1
+        assert rank(whole, FieldSpec.gf(3)) == 2
 
     def test_fraction_mod_p(self):
         mat = SparseMatrix.from_dense([[Fraction(1, 3)]])
@@ -182,7 +186,7 @@ class TestRank:
 
     def test_against_dense_oracle_mod_p(self):
         rng = random.Random(17)
-        for p in (2, 3, 32003):
+        for p in (2, 3, 32003, 2147483629):
             fld = FieldSpec.gf(p)
             for _ in range(25):
                 nr, nc = rng.randint(1, 7), rng.randint(1, 7)
