@@ -15,11 +15,27 @@ meaningful evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .ideals import MonomialIdeal, MultiDegree
 from .linalg import FieldSpec, SparseMatrix, rank
+
+
+def _masks(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, list[int]]:
+    """Masks (coordinate i at bit i - 1) of the negative coordinates of a,
+    and per generator of the coordinates where a is below its exponent."""
+    if degree.n != ideal.n:
+        raise ValueError("degree length does not match variable count")
+    neg = sum(1 << i for i, e in enumerate(degree.entries) if e < 0)
+    below = [
+        sum(1 << i for i, (e, g) in enumerate(zip(degree.entries, m.exponents)) if e < g)
+        for m in ideal.gens
+    ]
+    return neg, below
+
+
+def _survives(F: int, neg: int, below: list[int]) -> bool:
+    return not neg & ~F and all(b & ~F for b in below)
 
 
 def cech_piece_nonzero(ideal: MonomialIdeal, degree: MultiDegree, subset: Iterable[int]) -> bool:
@@ -36,19 +52,7 @@ def cech_piece_nonzero(ideal: MonomialIdeal, degree: MultiDegree, subset: Iterab
     for i in F:
         if not 1 <= i <= n:
             raise ValueError(f"index {i} outside 1..{n}")
-    if degree.n != n:
-        raise ValueError("degree length does not match variable count")
-    for i, e in enumerate(degree.entries, start=1):
-        if e < 0 and i not in F:
-            return False
-    for m in ideal.gens:
-        if all(
-            degree.entries[i - 1] >= m.exponents[i - 1]
-            for i in range(1, n + 1)
-            if i not in F
-        ):
-            return False
-    return True
+    return _survives(sum(1 << (i - 1) for i in F), *_masks(ideal, degree))
 
 
 @dataclass(frozen=True)
@@ -66,37 +70,33 @@ class CechStrand:
         return 0
 
 
-def _sign_of_insertion(subset: tuple[int, ...], j: int) -> int:
-    # (-1)^(number of elements of F below j)
-    below = sum(1 for v in subset if v < j)
-    return -1 if below % 2 else 1
-
-
 def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
     n = ideal.n
-    basis: list[tuple[tuple[int, ...], ...]] = []
-    for p in range(n + 1):
-        level = tuple(
-            F
-            for F in combinations(range(1, n + 1), p)
-            if cech_piece_nonzero(ideal, degree, F)
-        )
-        basis.append(level)
+    neg, below = _masks(ideal, degree)
+    # surviving subsets as (sorted vertex tuple, mask), one list per size;
+    # sorting by the tuple gives the order of itertools.combinations
+    levels: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n + 1)]
+    for F in range(1 << n):
+        if _survives(F, neg, below):
+            face = tuple(i + 1 for i in range(n) if F >> i & 1)
+            levels[len(face)].append((face, F))
+    for level in levels:
+        level.sort()
+    bits = [1 << i for i in range(n)]
     diffs: list[SparseMatrix] = []
     for p in range(n):
-        index_above = {F: r for r, F in enumerate(basis[p + 1])}
+        index_above = {F: r for r, (_, F) in enumerate(levels[p + 1])}
         entries: dict[tuple[int, int], int] = {}
-        for c, F in enumerate(basis[p]):
-            present = set(F)
-            for j in range(1, n + 1):
-                if j in present:
-                    continue
-                bigger = tuple(sorted(F + (j,)))
-                r = index_above.get(bigger)
+        for c, (_, F) in enumerate(levels[p]):
+            for b in bits:
+                # F | b is in the level above only when b is not in F
+                r = index_above.get(F | b)
                 if r is not None:
-                    entries[(r, c)] = _sign_of_insertion(F, j)
-        diffs.append(SparseMatrix(len(basis[p + 1]), len(basis[p]), entries))
-    strand = CechStrand(n=n, basis=tuple(basis), differentials=tuple(diffs))
+                    # (-1)^(number of elements of F below the inserted one)
+                    entries[(r, c)] = -1 if (F & (b - 1)).bit_count() % 2 else 1
+        diffs.append(SparseMatrix(len(levels[p + 1]), len(levels[p]), entries))
+    basis = tuple(tuple(face for face, _ in level) for level in levels)
+    strand = CechStrand(n=n, basis=basis, differentials=tuple(diffs))
     _assert_complex(strand)
     return strand
 

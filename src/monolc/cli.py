@@ -1,8 +1,9 @@
 """Command-line surface: parse, polarize, complex, table, oracle,
 depth, verify, fuzz.
 
-Exit codes: 0 success or verification pass, 1 verification failure,
-2 usage or input errors.
+Run as `monolc` or `python -m monolc`.  Exit codes: 0 success or
+verification pass, 1 verification failure, 2 usage or input errors,
+3 internal error (a broken invariant), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .polarization import polarize_ideal
 from .simplicial import SimplicialComplex
 from .takayama import (
     LCTable,
+    box_table,
     canonical_box,
     depth_and_dim,
     lc_table,
@@ -48,13 +50,7 @@ class UsageError(ValueError):
 def oracle_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
     """The table over the canonical box computed by the brute-force
     route; mirrors lc_table entry for entry when both are correct."""
-    if ideal.is_unit:
-        raise ValueError("the unit ideal has a zero quotient")
-    entries = []
-    for degree in canonical_box(ideal):
-        for i, d in sorted(cech_dims(ideal, degree, field).items()):
-            entries.append((degree, i, d))
-    return LCTable(ideal, field, tuple(entries))
+    return box_table(ideal, field, cech_dims)
 
 
 def _read_input(path: str) -> str:
@@ -334,6 +330,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

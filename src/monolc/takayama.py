@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .ideals import MonomialIdeal, MultiDegree, rho
 from .linalg import FieldSpec
@@ -25,33 +26,25 @@ def takayama_complex(ideal: MonomialIdeal, degree: MultiDegree) -> SimplicialCom
     has a_j strictly below the generator's exponent.  If the ideal is
     zero the complex is the full simplex on those positions.
     """
-    n = ideal.n
-    if degree.n != n:
+    if degree.n != ideal.n:
         raise ValueError("degree length does not match variable count")
-    neg = degree.negative_support()
-    wbits = [i for i in range(n) if (i + 1) not in neg]
-    blockers: list[int] = []
-    for m in ideal.gens:
-        b = 0
-        for i in wbits:
-            if degree.entries[i] < m.exponents[i]:
-                b |= 1 << i
-        if b == 0:
-            # no admissible position left for this generator: no faces at all
-            return SimplicialComplex.void(n)
-        blockers.append(b)
-    wmask = 0
-    for i in wbits:
-        wmask |= 1 << i
+    wmask = sum(1 << i for i, e in enumerate(degree.entries) if e >= 0)
+    blockers = [
+        wmask & sum(1 << i for i, (e, g) in enumerate(zip(degree.entries, m.exponents)) if e < g)
+        for m in ideal.gens
+    ]
+    if not all(blockers):
+        # a generator with no admissible position left: no faces at all
+        return SimplicialComplex.void(ideal.n)
     faces = []
     sub = wmask
     while True:
         if all(b & ~sub for b in blockers):
-            faces.append(frozenset(i + 1 for i in range(n) if sub & (1 << i)))
+            faces.append(sub)
         if sub == 0:
             break
         sub = (sub - 1) & wmask
-    return SimplicialComplex(n, faces, validate=False)
+    return SimplicialComplex._from_masks(ideal.n, frozenset(faces))
 
 
 def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict[int, int]:
@@ -130,20 +123,26 @@ class LCTable:
         return "\n".join(lines) + "\n"
 
 
-def lc_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
-    """Sweep the canonical box and record every nonzero graded piece."""
+def box_table(ideal: MonomialIdeal, field: FieldSpec, dims_at: Callable) -> LCTable:
+    """Sweep the canonical box with dims_at(ideal, degree, field), a map
+    index -> dimension of the nonzero pieces, and record every one."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
     n = ideal.n
     entries = []
     for degree in canonical_box(ideal):
-        for i, d in sorted(lc_dims(ideal, degree, field).items()):
+        for i, d in sorted(dims_at(ideal, degree, field).items()):
             if not 0 <= i <= n:
                 raise AssertionError(
                     f"cohomology index {i} outside 0..{n} at degree {degree.entries}"
                 )
             entries.append((degree, i, d))
     return LCTable(ideal, field, tuple(entries))
+
+
+def lc_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
+    """Sweep the canonical box and record every nonzero graded piece."""
+    return box_table(ideal, field, lc_dims)
 
 
 def depth_and_dim(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable
 
 from .ideals import Monomial, MonomialIdeal, MultiDegree, format_ideal, rho
@@ -279,7 +280,7 @@ def verify_depth_shift(ideal: MonomialIdeal, field: FieldSpec) -> VerificationRe
         fails.append(Mismatch((), 0, before.depth + shift, after.depth))
     if before.dim + shift != after.dim:
         fails.append(Mismatch((), 1, before.dim + shift, after.dim))
-    box_size = len(canonical_box(ideal)) + len(canonical_box(polarized.ideal))
+    box_size = prod(r + 1 for r in rho(ideal)) + prod(r + 1 for r in rho(polarized.ideal))
     checks = (CheckResult("depth_shift", box_size, 2, tuple(fails)),)
     return VerificationReport(ideal, field, checks)
 

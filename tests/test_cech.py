@@ -1,5 +1,6 @@
 import ast
 import inspect
+from itertools import combinations
 
 import pytest
 
@@ -65,6 +66,12 @@ class TestStrand:
         assert [strand.level_dim(p) for p in range(3)] == [1, 2, 1]
         assert strand.differentials[0].entries == {(0, 0): 1, (1, 0): 1}
         assert strand.differentials[1].entries == {(0, 0): -1, (0, 1): 1}
+
+    def test_basis_in_lex_order(self):
+        """Lex order of vertex tuples and numeric order of bitmasks
+        first differ at n = 4: (1, 4) comes before (2, 3)."""
+        strand = cech_strand(parse_ideal("vars a b c d\ngens"), deg(0, 0, 0, 0))
+        assert strand.basis[2] == tuple(combinations(range(1, 5), 2))
 
     def test_differentials_compose_to_zero(self):
         for ideal in corpus(25):

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +287,33 @@ class TestParserErrors:
 
     def test_missing_degree(self, capsys, golden_file):
         assert run(capsys, "complex", golden_file)[0] == 2
+
+
+class TestInternalErrors:
+    def test_assertion_exits_3(self, capsys, golden_file, monkeypatch):
+        def broken(ideal, field):
+            raise AssertionError("cohomology index 9 outside 0..2")
+
+        monkeypatch.setattr(cli, "lc_table", broken)
+        code, out, err = run(capsys, "table", golden_file)
+        assert (code, out) == (3, "")
+        assert err == "internal error: cohomology index 9 outside 0..2\n"
+
+    def test_interrupt_exits_130(self, capsys, golden_file, monkeypatch):
+        def interrupted(ideal, field):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "depth_and_dim", interrupted)
+        assert run(capsys, "depth", golden_file) == (130, "", "")
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "monolc", "parse", "-"],
+            input=GOLDEN, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, GOLDEN, "")

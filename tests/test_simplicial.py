@@ -49,6 +49,11 @@ class TestConstruction:
         assert cx.has_face((1, 3))
         assert cx.has_face(())
 
+    def test_has_face_out_of_range(self):
+        cx = hollow_triangle()
+        assert not cx.has_face((4,))
+        assert not cx.has_face((0, 1))
+
     def test_facets_canonical(self):
         cx = SimplicialComplex.from_facets(4, [(3, 1), (2,), (1, 3)])
         assert cx.facets() == [(2,), (1, 3)]

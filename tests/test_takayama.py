@@ -58,6 +58,12 @@ class TestTakayamaComplex:
         with pytest.raises(ValueError):
             takayama_complex(golden_ideal(), deg(1))
 
+    def test_validating_constructor_accepts_every_complex(self):
+        for ideal in corpus(50):
+            for degree in canonical_box(ideal):
+                cx = takayama_complex(ideal, degree)
+                assert cx == SimplicialComplex(ideal.n, cx.faces)
+
     def test_truncation_invariance(self):
         ideal = parse_ideal("vars x y z\ngens x^2*y, y^3*z, x*z^2")
         a = deg(-5, 2, -1)

@@ -144,6 +144,7 @@ class TestDepthShift:
         assert report.passed
         assert report.checks[0].name == "depth_shift"
         assert report.checks[0].indices_checked == 2
+        assert report.checks[0].degrees_checked == 14
 
     def test_square_free_shift_zero(self):
         assert verify_depth_shift(parse_ideal("vars x y\ngens x*y"), Q).passed
