@@ -252,6 +252,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.trials < 0:
+        raise UsageError(f"--trials must be non-negative, got {args.trials}")
     field = FieldSpec.parse(args.field)
     failures = 0
     dicts = []

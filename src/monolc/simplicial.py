@@ -56,6 +56,9 @@ class SimplicialComplex:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SimplicialComplex is immutable")
 
+    def __reduce__(self) -> tuple:
+        return (SimplicialComplex._from_masks, (self.n_vertices, self.masks))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented

@@ -2,8 +2,11 @@
 
 For a multidegree a the graded piece H^i_m(S/I)_a is computed as the
 reduced cohomology, shifted by |{j : a_j < 0}| + 1, of a simplicial
-complex determined by a and the minimal generators of I.  Everything
-here reduces to exact rank computations, so results are field-aware.
+complex determined by a and the minimal generators of I.  `lc_dims`
+reads it off the nerve of the complex's minimal non-faces, one per
+generator at most, so it costs 2^generators, not 2^variables;
+`takayama_complex` lists the faces for inspection.  Everything here
+reduces to exact rank computations, so results are field-aware.
 """
 
 from __future__ import annotations
@@ -18,6 +21,19 @@ from .linalg import FieldSpec
 from .simplicial import SimplicialComplex, reduced_cohomology_dims
 
 
+def _blockers(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, list[int]]:
+    """The mask of the non-negative positions V of a, and per minimal
+    generator the positions of V where a_j is below its exponent."""
+    if degree.n != ideal.n:
+        raise ValueError("degree length does not match variable count")
+    wmask = sum(1 << i for i, e in enumerate(degree.entries) if e >= 0)
+    blockers = [
+        wmask & sum(1 << i for i, (e, g) in enumerate(zip(degree.entries, m.exponents)) if e < g)
+        for m in ideal.gens
+    ]
+    return wmask, blockers
+
+
 def takayama_complex(ideal: MonomialIdeal, degree: MultiDegree) -> SimplicialComplex:
     """The degree-a complex whose faces are the sets F \\ supp_-(a).
 
@@ -26,13 +42,7 @@ def takayama_complex(ideal: MonomialIdeal, degree: MultiDegree) -> SimplicialCom
     has a_j strictly below the generator's exponent.  If the ideal is
     zero the complex is the full simplex on those positions.
     """
-    if degree.n != ideal.n:
-        raise ValueError("degree length does not match variable count")
-    wmask = sum(1 << i for i, e in enumerate(degree.entries) if e >= 0)
-    blockers = [
-        wmask & sum(1 << i for i, (e, g) in enumerate(zip(degree.entries, m.exponents)) if e < g)
-        for m in ideal.gens
-    ]
+    wmask, blockers = _blockers(ideal, degree)
     if not all(blockers):
         # a generator with no admissible position left: no faces at all
         return SimplicialComplex.void(ideal.n)
@@ -49,12 +59,29 @@ def takayama_complex(ideal: MonomialIdeal, degree: MultiDegree) -> SimplicialCom
 
 def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict[int, int]:
     """All nonzero graded local cohomology dimensions at one degree,
-    as a map cohomological index -> dimension."""
+    as a map cohomological index -> dimension.
+
+    By Alexander duality and the nerve theorem, H~^i of the complex on
+    V is H~_{|V|-i-3} of the nerve of its minimal non-faces, the minimal
+    blockers: a set of them is a face iff their union is not V.
+    """
+    wmask, blockers = _blockers(ideal, degree)
+    if not all(blockers):
+        return {}  # the void complex
     shift = len(degree.negative_support()) + 1
-    cx = takayama_complex(ideal, degree)
-    return {
-        j + shift: d for j, d in reduced_cohomology_dims(cx, field).items()
-    }
+    # drop repeats and every blocker that properly contains another
+    minimal = sorted({b for b in blockers if not any(c & b == c != b for c in blockers)})
+    if not minimal:
+        # the full simplex on V: acyclic unless V is empty
+        return {} if wmask else {shift - 1: 1}
+    union_of = {0: 0}  # nerve face -> union of its blockers
+    for k, b in enumerate(minimal):
+        for face, union in list(union_of.items()):
+            if union | b != wmask:
+                union_of[face | 1 << k] = union | b
+    nerve = SimplicialComplex._from_masks(len(minimal), frozenset(union_of))
+    top = wmask.bit_count() - 3 + shift
+    return {top - j: d for j, d in reduced_cohomology_dims(nerve, field).items()}
 
 
 def lc_dim(ideal: MonomialIdeal, degree: MultiDegree, index: int, field: FieldSpec) -> int:

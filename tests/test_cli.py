@@ -277,6 +277,11 @@ class TestFuzz:
         assert len(data["reports"]) == 3
         assert all(rep["pass"] for rep in data["reports"])
 
+    def test_negative_trials_rejected(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--trials", "-3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestParserErrors:
     def test_no_command(self, capsys):

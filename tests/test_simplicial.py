@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -69,6 +71,18 @@ class TestConstruction:
         assert SimplicialComplex.irrelevant(1).dimension() == -1
         with pytest.raises(ValueError):
             SimplicialComplex.void(1).dimension()
+
+    @pytest.mark.parametrize(
+        "cx",
+        [SimplicialComplex.void(3), SimplicialComplex.irrelevant(2), hollow_triangle()],
+        ids=["void", "irrelevant", "from_facets"],
+    )
+    def test_copy_and_pickle_round_trip(self, cx):
+        for twin in (copy.copy(cx), copy.deepcopy(cx), pickle.loads(pickle.dumps(cx))):
+            assert twin == cx
+            assert twin.n_vertices == cx.n_vertices
+            for field in (Q, F2):
+                assert reduced_cohomology_dims(twin, field) == reduced_cohomology_dims(cx, field)
 
 
 class TestCohomology:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,14 +8,18 @@ from monolc import (
     MultiDegree,
     SimplicialComplex,
     canonical_box,
+    cech_dims,
     depth_and_dim,
     is_cone,
     lc_dim,
     lc_dims,
     lc_table,
     parse_ideal,
+    polarize_ideal,
+    reduced_cohomology_dims,
     rho,
     takayama_complex,
+    verify_main_theorem,
 )
 from conftest import corpus, golden_ideal
 
@@ -70,6 +75,64 @@ class TestTakayamaComplex:
         b = deg(-1, 2, -9)
         assert takayama_complex(ideal, a) == takayama_complex(ideal, b)
         assert lc_dims(ideal, a, Q) == lc_dims(ideal, b, Q)
+
+
+def by_faces(ideal, degree, field):
+    """lc_dims by enumerating the faces of the Takayama complex: the
+    reference the nerve route is checked against."""
+    shift = len(degree.negative_support()) + 1
+    cx = takayama_complex(ideal, degree)
+    return {j + shift: d for j, d in reduced_cohomology_dims(cx, field).items()}
+
+
+class TestNerveRoute:
+    BOX_CAP = 64
+
+    def test_three_routes_agree_on_corpus(self):
+        for seed, ideal in enumerate(corpus(200)):
+            if ideal.is_unit:
+                continue
+            for side in (ideal, polarize_ideal(ideal).ideal):
+                box = canonical_box(side)
+                if len(box) > self.BOX_CAP:
+                    box = random.Random(seed).sample(box, self.BOX_CAP)
+                for degree in box:
+                    for field in (Q, F2):
+                        nerve = lc_dims(side, degree, field)
+                        assert nerve == by_faces(side, degree, field), (side, degree)
+                        assert nerve == cech_dims(side, degree, field), (side, degree)
+
+    @pytest.mark.parametrize(
+        "text, degree, expected",
+        [
+            ("vars x\ngens x", (1,), {}),  # zero blocker: void complex
+            ("vars x y\ngens x*y", (0, 0), {1: 1}),  # the blocker is all of V
+            ("vars x y\ngens", (0, 0), {}),  # zero ideal: full simplex on V
+            ("vars x y\ngens", (0, -1), {}),
+            ("vars x y\ngens", (-1, -1), {2: 1}),  # zero ideal, V empty
+            ("vars x y\ngens x^2, x*y", (-1, -1), {}),  # V empty, every blocker zero
+            ("vars x y z\ngens x*z^2, x^2*y*z, y^2*z^2", (0, 0, 0), {1: 1}),  # nested
+            ("vars x y z\ngens x*z^2, x^2*y*z, y^2*z^2", (0, 1, 0), {1: 1}),  # duplicate
+            ("vars x y z\ngens x*z^2, x^2*y*z, y^2*z^2", (1, -1, 1), {1: 1}),  # duplicate
+            ("vars x y\ngens x^2, x*y", (0, 0), {}),  # nested, a cone
+        ],
+    )
+    def test_named_cases(self, text, degree, expected):
+        ideal = parse_ideal(text)
+        for field in (Q, F2):
+            assert lc_dims(ideal, deg(*degree), field) == expected
+            assert by_faces(ideal, deg(*degree), field) == expected
+            assert cech_dims(ideal, deg(*degree), field) == expected
+
+    def test_power_of_one_variable(self):
+        # face enumeration on the polarized side would walk 2^40 subsets
+        ideal = parse_ideal("vars x\ngens x^40")
+        for field in (Q, F2):
+            assert verify_main_theorem(ideal, field).passed
+
+    def test_degree_length_mismatch(self):
+        with pytest.raises(ValueError):
+            lc_dims(golden_ideal(), deg(1), Q)
 
 
 class TestLcDim:
