@@ -3,10 +3,10 @@
 For a multidegree a the graded piece H^i_m(S/I)_a is computed as the
 reduced cohomology, shifted by |{j : a_j < 0}| + 1, of a simplicial
 complex determined by a and the minimal generators of I.  `lc_dims`
-reads it off the nerve of the complex's minimal non-faces, one per
-generator at most, so it costs 2^generators, not 2^variables;
-`takayama_complex` lists the faces for inspection.  Everything here
-reduces to exact rank computations, so results are field-aware.
+reads it off that complex or off the nerve of its minimal non-faces,
+whichever has fewer possible faces; `takayama_complex` lists the faces
+for inspection.  Everything here reduces to exact rank computations,
+so results are field-aware.
 """
 
 from __future__ import annotations
@@ -42,10 +42,14 @@ def takayama_complex(ideal: MonomialIdeal, degree: MultiDegree) -> SimplicialCom
     has a_j strictly below the generator's exponent.  If the ideal is
     zero the complex is the full simplex on those positions.
     """
-    wmask, blockers = _blockers(ideal, degree)
+    return _complex(ideal.n, *_blockers(ideal, degree))
+
+
+def _complex(n: int, wmask: int, blockers: list[int]) -> SimplicialComplex:
+    """The subsets of wmask that contain no blocker, by walking all of them."""
     if not all(blockers):
         # a generator with no admissible position left: no faces at all
-        return SimplicialComplex.void(ideal.n)
+        return SimplicialComplex.void(n)
     faces = []
     sub = wmask
     while True:
@@ -54,7 +58,7 @@ def takayama_complex(ideal: MonomialIdeal, degree: MultiDegree) -> SimplicialCom
         if sub == 0:
             break
         sub = (sub - 1) & wmask
-    return SimplicialComplex._from_masks(ideal.n, frozenset(faces))
+    return SimplicialComplex._from_masks(n, frozenset(faces))
 
 
 def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict[int, int]:
@@ -63,7 +67,8 @@ def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict
 
     By Alexander duality and the nerve theorem, H~^i of the complex on
     V is H~_{|V|-i-3} of the nerve of its minimal non-faces, the minimal
-    blockers: a set of them is a face iff their union is not V.
+    blockers: a set of them is a face iff their union is not V.  The
+    nerve has at most 2^g faces for g minimal blockers, the complex 2^|V|.
     """
     wmask, blockers = _blockers(ideal, degree)
     if not all(blockers):
@@ -71,9 +76,11 @@ def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict
     shift = len(degree.negative_support()) + 1
     # drop repeats and every blocker that properly contains another
     minimal = sorted({b for b in blockers if not any(c & b == c != b for c in blockers)})
+    if len(minimal) >= wmask.bit_count():
+        cx = _complex(ideal.n, wmask, minimal)
+        return {j + shift: d for j, d in reduced_cohomology_dims(cx, field).items()}
     if not minimal:
-        # the full simplex on V: acyclic unless V is empty
-        return {} if wmask else {shift - 1: 1}
+        return {}  # the full simplex on V, a cone
     union_of = {0: 0}  # nerve face -> union of its blockers
     for k, b in enumerate(minimal):
         for face, union in list(union_of.items()):

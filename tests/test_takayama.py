@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -14,6 +15,7 @@ from monolc import (
     lc_dim,
     lc_dims,
     lc_table,
+    oracle_table,
     parse_ideal,
     polarize_ideal,
     reduced_cohomology_dims,
@@ -21,6 +23,7 @@ from monolc import (
     takayama_complex,
     verify_main_theorem,
 )
+from monolc import takayama
 from conftest import corpus, golden_ideal
 
 Q = FieldSpec.rationals()
@@ -133,6 +136,24 @@ class TestNerveRoute:
     def test_degree_length_mismatch(self):
         with pytest.raises(ValueError):
             lc_dims(golden_ideal(), deg(1), Q)
+
+    def test_many_generators_walk_the_complex(self, monkeypatch):
+        # the edge ideal of K_7: 21 generators in 7 variables; at degree 0
+        # the nerve of its blockers has 209868 faces, the complex 8
+        ideal = parse_ideal(
+            "vars a b c d e f g\ngens "
+            + ", ".join(u + "*" + v for u, v in itertools.combinations("abcdefg", 2))
+        )
+        sizes = []
+
+        def counted(cx, field):
+            sizes.append(len(cx.masks))
+            assert sizes[-1] <= 2**ideal.n
+            return reduced_cohomology_dims(cx, field)
+
+        monkeypatch.setattr(takayama, "reduced_cohomology_dims", counted)
+        assert lc_table(ideal, F2).entries == oracle_table(ideal, F2).entries
+        assert sizes
 
 
 class TestLcDim:
