@@ -7,6 +7,12 @@ minimal generators.  The surviving subsets form a complex of vector
 spaces with the usual alternating-sign inclusion maps, and its
 cohomology gives dim H^i_m(S/I)_a directly.
 
+Survivors are found level by level, not among all 2^n subsets.  Each
+contains the negative support of a, and dropping any other (free)
+position keeps it a survivor (the divisibility test only gets easier),
+so each survivor above the negative support is a survivor one level
+down plus a free position: the work follows the survivors, not 2^n.
+
 This path deliberately shares nothing with the simplicial route except
 the ideal types and the rank kernel, so agreement between the two is
 meaningful evidence.
@@ -73,29 +79,35 @@ class CechStrand:
 def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
     n = ideal.n
     neg, below = _masks(ideal, degree)
-    # surviving subsets as (sorted vertex tuple, mask), one list per size;
-    # sorting by the tuple gives the order of itertools.combinations
-    levels: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n + 1)]
-    for F in range(1 << n):
-        if _survives(F, neg, below):
-            face = tuple(i + 1 for i in range(n) if F >> i & 1)
-            levels[len(face)].append((face, F))
-    for level in levels:
-        level.sort()
-    bits = [1 << i for i in range(n)]
+    free = [1 << i for i in range(n) if not neg >> i & 1]  # as bits
+    # Survivors are closed under dropping free positions (module docstring),
+    # so extending each survivor only by free positions past the last one it
+    # added reaches every survivor once, from itself minus its largest free
+    # position; each level comes out in itertools.combinations order.
+    # Entries are (mask, vertex tuple, index into free of the next position).
+    levels: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n + 1)]
+    if _survives(neg, neg, below):
+        face = tuple(i + 1 for i in range(n) if neg >> i & 1)
+        levels[len(face)].append((neg, face, 0))
+    for level, above in zip(levels, levels[1:]):
+        for F, face, start in level:
+            for t, b in enumerate(free[start:], start + 1):
+                if _survives(F | b, neg, below):
+                    at = (F & (b - 1)).bit_count()  # vertices of F below the new one
+                    above.append((F | b, face[:at] + (b.bit_length(),) + face[at:], t))
     diffs: list[SparseMatrix] = []
     for p in range(n):
-        index_above = {F: r for r, (_, F) in enumerate(levels[p + 1])}
+        index_above = {F: r for r, (F, _, _) in enumerate(levels[p + 1])}
         entries: dict[tuple[int, int], int] = {}
-        for c, (_, F) in enumerate(levels[p]):
-            for b in bits:
+        for c, (F, _, _) in enumerate(levels[p]):
+            for b in free:
                 # F | b is in the level above only when b is not in F
                 r = index_above.get(F | b)
                 if r is not None:
                     # (-1)^(number of elements of F below the inserted one)
                     entries[(r, c)] = -1 if (F & (b - 1)).bit_count() % 2 else 1
         diffs.append(SparseMatrix(len(levels[p + 1]), len(levels[p]), entries))
-    basis = tuple(tuple(face for face, _ in level) for level in levels)
+    basis = tuple(tuple(face for _, face, _ in level) for level in levels)
     strand = CechStrand(n=n, basis=basis, differentials=tuple(diffs))
     _assert_complex(strand)
     return strand

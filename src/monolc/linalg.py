@@ -5,11 +5,13 @@ row: over Q each row's denominators are cleared, over GF(p) entries
 are reduced mod p.  One sparse elimination then serves both fields.
 It is fraction-free over Z, and over GF(p) it scales each pivot row
 so the pivot is 1, which leaves reduction mod p as the only modular
-step.  Pivoting is deterministic, so repeated runs agree exactly.
+step.  The pivot row is the shortest, taken from a heap of (length,
+row id); pivoting is deterministic, so repeated runs agree exactly.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,10 +171,14 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
     for rid, row in active.items():
         for c in row:
             col_users.setdefault(c, set()).add(rid)
+    # shortest row first keeps fill-in down; ties break by row id
+    queue = [(len(row), rid) for rid, row in active.items()]
+    heapq.heapify(queue)
     rank = 0
     while active:
-        # shortest row first keeps fill-in down; ties break by row id
-        prid = min(active, key=lambda r: (len(active[r]), r))
+        length, prid = heapq.heappop(queue)
+        if len(active.get(prid, ())) != length:
+            continue  # stale: the row changed (and was pushed again) or is gone
         prow = active.pop(prid)
         for c in prow:
             col_users[c].discard(prid)
@@ -212,7 +218,9 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
                     col_users[c].discard(rid)
             if scale_row != 1:
                 _strip_gcd(row)
-            if not row:
+            if row:
+                heapq.heappush(queue, (len(row), rid))
+            else:
                 del active[rid]
     return rank
 

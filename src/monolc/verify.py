@@ -2,7 +2,8 @@
 
 Each verify_* function sweeps exact dimension computations on both
 sides of an identity and reports mismatches as data instead of
-raising, so a sweep always completes and a report can drive CI.
+raising, so a sweep always completes and a report can drive CI.  Only
+bad input raises ValueError, the unit ideal (a zero quotient) included.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
     A second check confirms the polarized side never carries cohomology
     outside the shifted window [rho - n, rho].
     """
+    if ideal.is_unit:
+        raise ValueError("the unit ideal has a zero quotient")
     n = ideal.n
     polarized = polarize_ideal(ideal)
     shift = polarized.rho_total - n
@@ -122,6 +125,8 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
 
 
 def _check_boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, ...]:
+    if ideal.is_unit:
+        raise ValueError("the unit ideal has a zero quotient")
     bounds = rho(ideal)
     if degree.n != ideal.n:
         raise ValueError("degree length does not match variable count")

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import random
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from monolc import (
     cech_strand,
     lc_dims,
     parse_ideal,
+    polarize_ideal,
 )
 from conftest import corpus, golden_ideal
 
@@ -72,6 +74,35 @@ class TestStrand:
         first differ at n = 4: (1, 4) comes before (2, 3)."""
         strand = cech_strand(parse_ideal("vars a b c d\ngens"), deg(0, 0, 0, 0))
         assert strand.basis[2] == tuple(combinations(range(1, 5), 2))
+
+    def test_matches_subset_reference(self):
+        """Level p is every p-subset whose localized piece survives, in
+        combinations order, and each differential has entry
+        (-1)^#{u in F : u < v} from F to F + {v}: the 2^n reference."""
+        for seed, ideal in enumerate(corpus(200)):
+            if ideal.is_unit:
+                continue
+            for side in (ideal, polarize_ideal(ideal).ideal):
+                n = side.n
+                box = canonical_box(side)
+                if side is not ideal and len(box) > 64:
+                    box = random.Random(seed).sample(box, 64)
+                for degree in [*box, deg(-2, *[0] * (n - 1))]:
+                    strand = cech_strand(side, degree)
+                    for p in range(n + 1):
+                        assert strand.basis[p] == tuple(
+                            c for c in combinations(range(1, n + 1), p)
+                            if cech_piece_nonzero(side, degree, c)
+                        ), (side, degree, p)
+                    for p, d in enumerate(strand.differentials):
+                        row = {F: r for r, F in enumerate(strand.basis[p + 1])}
+                        expected = {}
+                        for c, F in enumerate(strand.basis[p]):
+                            for v in set(range(1, n + 1)) - set(F):
+                                r = row.get(tuple(sorted((*F, v))))
+                                if r is not None:
+                                    expected[(r, c)] = (-1) ** sum(u < v for u in F)
+                        assert d.entries == expected, (side, degree, p)
 
     def test_differentials_compose_to_zero(self):
         for ideal in corpus(25):

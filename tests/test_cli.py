@@ -245,6 +245,16 @@ class TestVerify:
         assert out.splitlines()[-1] == "fail"
         assert "degree (0,0) i=0: lhs 1 != rhs 0" in out
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--chain"], ["--depth-shift"], ["--chain", "--depth-shift"]]
+    )
+    def test_unit_ideal(self, capsys, tmp_path, flags):
+        path = tmp_path / "unit.txt"
+        path.write_text("vars x\ngens 1\n")
+        code, out, err = run(capsys, "verify", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: the unit ideal has a zero quotient\n"
+
 
 class TestFuzz:
     ARGS = ("fuzz", "--trials", "3", "--n", "2", "--max-exp", "2", "--gens", "3")

@@ -195,6 +195,36 @@ class TestRank:
                     data, p
                 )
 
+    def test_pivot_queue_on_larger_sparse_matrices(self):
+        """Sizes where elimination changes rows many times, so the pivot
+        queue holds stale entries; half the cases are products of thin
+        factors, hence rank-deficient."""
+        rng = random.Random(41)
+
+        def sparse(nr, nc, density):
+            return [
+                [rng.choice((-3, -1, 1, 2, 5)) if rng.random() < density else 0
+                 for _ in range(nc)]
+                for _ in range(nr)
+            ]
+
+        for case in range(8):
+            nr, nc = rng.randint(30, 120), rng.randint(30, 120)
+            if case % 2:
+                k = rng.randint(3, 20)
+                # factor density (0.08 / k) ** 0.5 makes the product about 8 % dense
+                left = sparse(nr, k, (0.08 / k) ** 0.5)
+                right = sparse(k, nc, (0.08 / k) ** 0.5)
+                data = [
+                    [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                    for row in left
+                ]
+            else:
+                data = sparse(nr, nc, rng.uniform(0.05, 0.1))
+            mat = SparseMatrix.from_dense(data)
+            for p in (None, 2, 32003, 2147483629):
+                assert rank(mat, FieldSpec(p)) == dense_rank_oracle(data, p), (case, p)
+
     def test_q_agrees_with_large_prime_on_small_sign_matrices(self):
         rng = random.Random(23)
         for _ in range(40):

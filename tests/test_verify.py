@@ -45,8 +45,8 @@ class TestMainTheorem:
         assert report.passed
 
     def test_unit_ideal(self):
-        report = verify_main_theorem(parse_ideal("vars x\ngens 1"), Q)
-        assert report.passed
+        with pytest.raises(ValueError, match="unit ideal has a zero quotient"):
+            verify_main_theorem(parse_ideal("vars x\ngens 1"), Q)
 
     def test_corpus_all_fields(self):
         for ideal in corpus(20):
@@ -93,6 +93,13 @@ class TestReductionChain:
                     assert verify_reduction_chain(ideal, degree, fld).passed
 
 
+    def test_unit_ideal_rejected(self):
+        unit = parse_ideal("vars x y\ngens 1")
+        for degree in canonical_box(unit):
+            with pytest.raises(ValueError, match="unit ideal has a zero quotient"):
+                verify_reduction_chain(unit, degree, Q)
+
+
 class TestReductionToDegreeZero:
     def test_polarized_terminal(self):
         report = verify_reduction_to_degree_zero(golden_ideal(), deg(0, 0), Q)
@@ -136,6 +143,13 @@ class TestReductionToDegreeZero:
                     cone_terminals += 1
                     assert lc_dims(ideal, degree, Q) == {}
         assert cone_terminals > 0
+
+
+    def test_unit_ideal_rejected(self):
+        unit = parse_ideal("vars x y\ngens 1")
+        for degree in canonical_box(unit):
+            with pytest.raises(ValueError, match="unit ideal has a zero quotient"):
+                verify_reduction_to_degree_zero(unit, degree, Q)
 
 
 class TestDepthShift:
