@@ -92,7 +92,6 @@ class TestReductionChain:
                 for fld in (Q, F2):
                     assert verify_reduction_chain(ideal, degree, fld).passed
 
-
     def test_unit_ideal_rejected(self):
         unit = parse_ideal("vars x y\ngens 1")
         for degree in canonical_box(unit):
@@ -143,7 +142,6 @@ class TestReductionToDegreeZero:
                     cone_terminals += 1
                     assert lc_dims(ideal, degree, Q) == {}
         assert cone_terminals > 0
-
 
     def test_unit_ideal_rejected(self):
         unit = parse_ideal("vars x y\ngens 1")
