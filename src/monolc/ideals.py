@@ -193,86 +193,19 @@ def format_ideal(ideal: MonomialIdeal) -> str:
     return vars_line + "\n" + gens_line.rstrip() + "\n"
 
 
-class _LineScanner:
-    """Cursor over one significant line, tracking columns for errors."""
-
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
-
-    def fail(self, message: str) -> "ParseError":
-        return ParseError(message, self.lineno, self.pos + 1)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_name(self) -> str:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            raise self.fail("expected a name")
-        self.pos = m.end()
-        return m.group()
-
-    def take_int(self) -> int:
-        self.skip_ws()
-        m = re.compile(r"\d+").match(self.text, self.pos)
-        if not m:
-            raise self.fail("expected a non-negative integer")
-        self.pos = m.end()
-        return int(m.group())
-
-    def take_char(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.fail(f"expected {ch!r}")
-        self.pos += 1
+# one token per match: a name, an ASCII integer, any other character, or
+# the end of the line; the group that matched names the token's kind
+_TOKEN_RE = re.compile(
+    rf"[ \t]*(?:(?P<name>{_NAME_RE.pattern})|(?P<int>[0-9]+)|(?P<other>.)|(?P<end>$))"
+)
 
 
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        if body.strip():
-            out.append((lineno, body))
-    return out
-
-
-def _parse_monomial(sc: _LineScanner, index_of: dict[str, int], n: int) -> Monomial:
-    exps = [0] * n
-    while True:
-        sc.skip_ws()
-        if sc.peek().isdigit():
-            start = sc.pos
-            val = sc.take_int()
-            if val != 1:
-                sc.pos = start
-                raise sc.fail("only the factor 1 may be a bare integer")
-        else:
-            start = sc.pos
-            name = sc.take_name()
-            if name not in index_of:
-                sc.pos = start
-                raise sc.fail(f"unknown variable {name!r}")
-            e = 1
-            if sc.peek() == "^":
-                sc.take_char("^")
-                e = sc.take_int()
-            exps[index_of[name]] += e
-        if sc.peek() == "*":
-            sc.take_char("*")
-            continue
-        return Monomial(tuple(exps))
+def _tokens(body: str) -> list[tuple[str, str, int]]:
+    """(kind, text, 1-based column) for each token of one line, ending in "end"."""
+    return [
+        (m.lastgroup, m[m.lastgroup], m.start(m.lastgroup) + 1)
+        for m in _TOKEN_RE.finditer(body)
+    ]
 
 
 def parse_ideal(text: str) -> MonomialIdeal:
@@ -281,41 +214,70 @@ def parse_ideal(text: str) -> MonomialIdeal:
     Raises:
         ParseError: on any malformed input, with line and column.
     """
-    lines = _significant_lines(text)
-    total_lines = len(text.splitlines())
-    if not lines:
-        raise ParseError("expected a vars line", total_lines + 1, 1)
+    raw = text.splitlines()
+    lines = [
+        (lineno, _tokens(body))
+        for lineno, line in enumerate(raw, start=1)
+        if (body := line.split("#", 1)[0]).strip()
+    ]
 
-    sc = _LineScanner(lines[0][1], lines[0][0])
-    kw = sc.take_name() if not sc.at_end() else ""
-    if kw != "vars":
-        raise ParseError("expected a vars line", sc.lineno, 1)
-    names: list[str] = []
-    while not sc.at_end():
-        names.append(sc.take_name())
+    def keyword_line(i: int, keyword: str) -> tuple[int, list[tuple[str, str, int]]]:
+        if i >= len(lines):
+            raise ParseError(f"expected a {keyword} line", len(raw) + 1, 1)
+        lineno, toks = lines[i]
+        kind, word, col = toks[0]
+        if kind != "name":
+            raise ParseError("expected a name", lineno, col)
+        if word != keyword:
+            raise ParseError(f"expected a {keyword} line", lineno, 1)
+        return lineno, toks
+
+    lineno, toks = keyword_line(0, "vars")
+    names = [word for kind, word, _ in toks[1:] if kind == "name"]
+    kind, _, col = next(t for t in toks[1:] if t[0] != "name")
+    if kind != "end":
+        raise ParseError("expected a name", lineno, col)
     if not names:
-        raise sc.fail("vars line declares no variables")
+        raise ParseError("vars line declares no variables", lineno, col)
     if len(set(names)) != len(names):
-        raise sc.fail("duplicate variable name")
+        raise ParseError("duplicate variable name", lineno, col)
 
-    if len(lines) < 2:
-        raise ParseError("expected a gens line", total_lines + 1, 1)
-    sc = _LineScanner(lines[1][1], lines[1][0])
-    kw = sc.take_name() if not sc.at_end() else ""
-    if kw != "gens":
-        raise ParseError("expected a gens line", sc.lineno, 1)
+    lineno, toks = keyword_line(1, "gens")
     if len(lines) > 2:
-        extra = lines[2]
-        raise ParseError("unexpected extra line", extra[0], 1)
-
+        raise ParseError("unexpected extra line", lines[2][0], 1)
     index_of = {nm: i for i, nm in enumerate(names)}
     gens: list[Monomial] = []
-    if not sc.at_end():
+    i = 1
+    while toks[i][0] != "end":
+        exps = [0] * len(names)
         while True:
-            gens.append(_parse_monomial(sc, index_of, len(names)))
-            if sc.at_end():
+            kind, word, col = toks[i]
+            if kind == "int":
+                if int(word) != 1:
+                    raise ParseError("only the factor 1 may be a bare integer", lineno, col)
+            elif kind != "name":
+                raise ParseError("expected a name", lineno, col)
+            elif word not in index_of:
+                raise ParseError(f"unknown variable {word!r}", lineno, col)
+            else:
+                var, e = index_of[word], 1
+                if toks[i + 1][1] == "^":
+                    i += 2
+                    kind, word, col = toks[i]
+                    if kind != "int":
+                        raise ParseError("expected a non-negative integer", lineno, col)
+                    e = int(word)
+                exps[var] += e
+            i += 1
+            if toks[i][1] != "*":
                 break
-            sc.take_char(",")
-            if sc.at_end():
-                raise sc.fail("trailing comma")
+            i += 1
+        gens.append(Monomial(tuple(exps)))
+        kind, word, col = toks[i]
+        if kind != "end":
+            if word != ",":
+                raise ParseError("expected ','", lineno, col)
+            i += 1
+            if toks[i][0] == "end":
+                raise ParseError("trailing comma", lineno, toks[i][2])
     return MonomialIdeal(tuple(names), tuple(gens))

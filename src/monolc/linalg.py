@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -59,11 +60,8 @@ class FieldSpec:
         t = text.strip().lower()
         if t == "q":
             return cls(None)
-        if t.startswith("gf:"):
-            body = t[3:]
-            if not body.isdigit():
-                raise ValueError(f"bad field spec {text!r}")
-            return cls(int(body))
+        if re.fullmatch("gf:[0-9]+", t):
+            return cls(int(t[3:]))
         raise ValueError(f"bad field spec {text!r}")
 
     @property

@@ -32,7 +32,7 @@ def _vertices_of(mask: int) -> tuple[int, ...]:
 class SimplicialComplex:
     """Immutable complex: a downward-closed family of subsets of 1..n."""
 
-    __slots__ = ("n_vertices", "masks", "_cohomology_cache")
+    __slots__ = ("n_vertices", "masks")
 
     def __new__(cls, n_vertices: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         if n_vertices < 0:
@@ -50,7 +50,6 @@ class SimplicialComplex:
         cx = object.__new__(cls)
         object.__setattr__(cx, "n_vertices", n_vertices)
         object.__setattr__(cx, "masks", masks)
-        object.__setattr__(cx, "_cohomology_cache", {})
         return cx
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -148,9 +147,6 @@ def reduced_cohomology_dims(cx: SimplicialComplex, field: FieldSpec) -> dict[int
     Returns a map index -> dimension containing only nonzero entries;
     the void complex gives {} and {emptyset} gives {-1: 1}.
     """
-    cached = cx._cohomology_cache.get(field)
-    if cached is not None:
-        return dict(cached)
     # faces of dimension d, each level in increasing mask order
     levels: dict[int, list[int]] = {}
     for m in sorted(cx.masks):
@@ -174,5 +170,4 @@ def reduced_cohomology_dims(cx: SimplicialComplex, field: FieldSpec) -> dict[int
         h = len(masks) - ranks.get(d, 0) - ranks.get(d - 1, 0)
         if h:
             dims[d] = h
-    cx._cohomology_cache[field] = dims
-    return dict(dims)
+    return dims

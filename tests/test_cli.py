@@ -34,6 +34,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def failing_report(ideal, field):
+    miss = Mismatch((0, 0), 0, 1, 0)
+    return VerificationReport(
+        ideal, field, (CheckResult("main_theorem", 1, 1, (miss,)),)
+    )
+
+
 class TestParse:
     def test_text(self, capsys, golden_file):
         code, out, err = run(capsys, "parse", golden_file)
@@ -232,13 +239,7 @@ class TestVerify:
         assert data["field"] == "gf:2"
 
     def test_failure_exit_code(self, capsys, golden_file, monkeypatch):
-        def broken(ideal, field):
-            miss = Mismatch((0, 0), 0, 1, 0)
-            return VerificationReport(
-                ideal, field, (CheckResult("main_theorem", 1, 1, (miss,)),)
-            )
-
-        monkeypatch.setattr(cli, "verify_main_theorem", broken)
+        monkeypatch.setattr(cli, "verify_main_theorem", failing_report)
         code, out, _ = run(capsys, "verify", golden_file)
         assert code == 1
         assert "check main_theorem: FAIL (1 mismatches)" in out
@@ -286,6 +287,19 @@ class TestFuzz:
         assert data["failures"] == 0
         assert len(data["reports"]) == 3
         assert all(rep["pass"] for rep in data["reports"])
+
+    def test_failures_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_main_theorem", failing_report)
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 1
+        lines = out.splitlines()
+        assert all(line.endswith("FAIL") for line in lines[:3])
+        assert lines[3] == "3 trials, 3 failures"
+
+    def test_zero_ideal_prints_as_0(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--trials", "1", "--gens", "0")
+        assert code == 0
+        assert out == "trial 0 seed 0: (0) pass\n1 trials, 0 failures\n"
 
     def test_negative_trials_rejected(self, capsys):
         code, out, err = run(capsys, "fuzz", "--trials", "-3")

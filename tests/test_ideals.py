@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monolc import (
     Monomial,
@@ -229,6 +231,56 @@ class TestParser:
             parse_ideal("")
         with pytest.raises(ParseError):
             parse_ideal("# only a comment\n")
+
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            ("", "expected a vars line", 1, 1),
+            ("# only a comment\n\n", "expected a vars line", 3, 1),
+            ("gens x\nvars x", "expected a vars line", 1, 1),
+            ("1 x\ngens", "expected a name", 1, 1),
+            ("vars x-y\ngens", "expected a name", 1, 7),
+            ("vars\ngens", "vars line declares no variables", 1, 5),
+            ("vars x y x \ngens", "duplicate variable name", 1, 12),
+            ("vars x\n", "expected a gens line", 2, 1),
+            ("vars x\nvars x", "expected a gens line", 2, 1),
+            ("vars x\ngens x\ngens x", "unexpected extra line", 3, 1),
+            ("vars x\ngens 2", "only the factor 1 may be a bare integer", 2, 6),
+            ("vars x y\ngens x^2, w", "unknown variable 'w'", 2, 11),
+            ("vars x\ngens x*", "expected a name", 2, 8),
+            ("vars x\ngens x,,x", "expected a name", 2, 8),
+            ("vars x\ngens x^-1", "expected a non-negative integer", 2, 8),
+            ("vars x\ngens x^", "expected a non-negative integer", 2, 8),
+            ("vars x y\ngens x y", "expected ','", 2, 8),
+            ("vars x\ngens x,", "trailing comma", 2, 8),
+            ("vars x\ngens x, # c", "trailing comma", 2, 9),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_ideal(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value) == f"line {line}, col {col}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vars x\ngens x^\u0663", "expected a non-negative integer"),
+            ("vars x\ngens \u0661", "expected a name"),
+        ],
+    )
+    def test_only_ascii_digits(self, text, message):
+        # Arabic-Indic digits three and one: str.isdigit() and int() accept them
+        with pytest.raises(ParseError, match=message):
+            parse_ideal(text)
+
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            parse_ideal(text)
+        except ParseError:
+            pass
 
 
 class TestFormatting:

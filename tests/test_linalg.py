@@ -78,9 +78,11 @@ class TestFieldSpec:
         assert FieldSpec.parse("gf:32003") == BIGP
 
     def test_parse_rejects(self):
-        for bad in ("gf:4", "gf:1", "gf:", "gf:x", "r", "2"):
+        for bad in ("gf:4", "gf:1", "gf:", "gf:x", "r", "2", "gf:\u00b2", "gf:\u0663"):
             with pytest.raises(ValueError):
                 FieldSpec.parse(bad)
+        with pytest.raises(ValueError, match="^bad field spec 'gf:\u00b2'$"):
+            FieldSpec.parse("gf:\u00b2")
 
     def test_prime_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+import monolc.verify as verify_mod
 from monolc import (
     CheckResult,
     FieldSpec,
@@ -10,8 +12,11 @@ from monolc import (
     MultiDegree,
     VerificationReport,
     canonical_box,
+    degree_map,
+    depth_and_dim,
     lc_dims,
     parse_ideal,
+    polarize_ideal,
     random_ideal,
     verify_depth_shift,
     verify_main_theorem,
@@ -238,3 +243,85 @@ class TestReportShape:
         assert data["checks"][0]["failures"] == [
             {"degree": [0, -1], "i": 1, "lhs": 2, "rhs": 3}
         ]
+
+
+class TestFailurePaths:
+    """One side of an identity is made wrong at one place; the report
+    must name exactly that place and fail."""
+
+    @staticmethod
+    def skew_lc_dims(monkeypatch, target, degree, index):
+        """Add 1 to lc_dims(target, degree)[index] as the verifier sees it."""
+
+        def skewed(ideal, at, field):
+            dims = lc_dims(ideal, at, field)
+            if (ideal, at) == (target, degree):
+                dims = {**dims, index: dims.get(index, 0) + 1}
+            return dims
+
+        monkeypatch.setattr(verify_mod, "lc_dims", skewed)
+
+    def test_main_theorem_mismatch(self, monkeypatch):
+        ideal = golden_ideal()
+        true = lc_dims(ideal, deg(1, 0), Q).get(0, 0)
+        self.skew_lc_dims(monkeypatch, ideal, deg(1, 0), 0)
+        report = verify_main_theorem(ideal, Q)
+        assert report.passed is False
+        main, window = report.checks
+        assert main.failures == (Mismatch((1, 0), 0, true + 1, true),)
+        assert window.passed
+
+    def test_rhs_outside_window(self, monkeypatch):
+        ideal = golden_ideal()
+        polarized = polarize_ideal(ideal)
+        shift = polarized.rho_total - ideal.n
+        alpha = degree_map(deg(0, 0), polarized.rho)
+        self.skew_lc_dims(monkeypatch, polarized.ideal, alpha, shift + ideal.n + 1)
+        report = verify_main_theorem(ideal, Q)
+        assert report.passed is False
+        main, window = report.checks
+        assert main.passed
+        assert window.failures == (Mismatch((0, 0), ideal.n + 1, 0, 1),)
+
+    def test_reduction_chain_mismatch(self, monkeypatch):
+        ideal = golden_ideal()
+        true = lc_dims(ideal, deg(0, 0), Q).get(1, 0)
+        self.skew_lc_dims(monkeypatch, ideal, deg(0, 0), 1)
+        report = verify_reduction_chain(ideal, deg(0, 0), Q)
+        assert report.passed is False
+        (check,) = report.checks
+        assert check.name == "step3_partial_polarization_j1"
+        assert check.failures == (Mismatch((0, 0), 1, true + 1, true),)
+
+    def test_cone_vanishing_without_a_cone(self, monkeypatch):
+        # capping x and restricting leaves (x*y) at (0, 1), outside its
+        # box and at a non-void complex, so the cone test runs
+        ideal = parse_ideal("vars x y\ngens x^2*y, x*y^2")
+        monkeypatch.setattr(verify_mod, "is_cone", lambda cx, apex: False)
+        report = verify_reduction_to_degree_zero(ideal, deg(0, 1), Q)
+        assert report.passed is False
+        *steps, terminal = report.checks
+        assert all(c.passed for c in steps)
+        assert terminal.name == "terminal_cone_vanishing"
+        assert terminal.failures == (Mismatch((0, 1), -1, 1, 0),)
+
+    def test_depth_shift_mismatch(self, monkeypatch):
+        ideal = golden_ideal()
+        polarized = polarize_ideal(ideal)
+        shift = polarized.rho_total - ideal.n
+        before = depth_and_dim(ideal, Q)
+        after = depth_and_dim(polarized.ideal, Q)
+
+        def skewed(target, field):
+            dd = depth_and_dim(target, field)
+            if target != polarized.ideal:
+                return dd
+            return replace(dd, depth=dd.depth + 1, dim=dd.dim - 1)
+
+        monkeypatch.setattr(verify_mod, "depth_and_dim", skewed)
+        report = verify_depth_shift(ideal, Q)
+        assert report.passed is False
+        assert report.checks[0].failures == (
+            Mismatch((), 0, before.depth + shift, after.depth + 1),
+            Mismatch((), 1, before.dim + shift, after.dim - 1),
+        )
