@@ -1,7 +1,9 @@
 """Command-line surface: parse, polarize, complex, table, oracle,
 depth, verify, fuzz.
 
-Run as `monolc` or `python -m monolc`.  Exit codes: 0 success or
+Run as `monolc` or `python -m monolc`.  Each `_cmd_*` handler returns
+(exit code, JSON value, text), and `main` alone writes the JSON or the
+text that `--format` asks for.  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage or input errors,
 3 internal error (a broken invariant), 130 interrupted.
 """
@@ -53,21 +55,19 @@ def oracle_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
     return box_table(ideal, field, cech_dims)
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_ideal(path: str) -> MonomialIdeal:
-    return parse_ideal(_read_input(path))
+    if path == "-":
+        return parse_ideal(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_ideal(fh.read())
 
 
 def _parse_degree(text: str, n: int) -> MultiDegree:
-    parts = text.split(",")
+    parts = [p.strip() for p in text.split(",")]
     try:
-        entries = tuple(int(p.strip()) for p in parts)
+        if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+            raise ValueError
+        entries = tuple(map(int, parts))  # may exceed int()'s digit limit
     except ValueError:
         raise UsageError(f"bad degree {text!r}: entries must be integers")
     if len(entries) != n:
@@ -88,156 +88,78 @@ def format_complex(cx: SimplicialComplex, names: Sequence[str]) -> str:
     return "{" + ", ".join(rendered) + "}"
 
 
-def _print_table(table: LCTable, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(table.to_json())
-    elif fmt == "tsv":
-        sys.stdout.write(table.to_tsv())
-    else:
-        print("vars " + " ".join(table.ideal.var_names))
-        print(f"field {table.field}")
-        for deg, i, d in table.entries:
-            print(f"({','.join(map(str, deg.entries))}) i={i} dim={d}")
-
-
 def _merge_checks(reports: Sequence[VerificationReport]) -> list[CheckResult]:
-    order: list[str] = []
-    acc: dict[str, list] = {}
+    merged: dict[str, CheckResult] = {}
     for rep in reports:
         for chk in rep.checks:
-            if chk.name not in acc:
-                order.append(chk.name)
-                acc[chk.name] = [0, 0, []]
-            slot = acc[chk.name]
-            slot[0] += chk.degrees_checked
-            slot[1] += chk.indices_checked
-            slot[2].extend(chk.failures)
-    return [
-        CheckResult(name, acc[name][0], acc[name][1], tuple(acc[name][2]))
-        for name in order
-    ]
-
-
-def _print_report(report: VerificationReport, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-        return
-    for chk in report.checks:
-        if chk.passed:
-            print(
-                f"check {chk.name}: pass"
-                f" ({chk.degrees_checked} degrees, {chk.indices_checked} indices)"
-            )
-        else:
-            print(f"check {chk.name}: FAIL ({len(chk.failures)} mismatches)")
-            for m in chk.failures[:10]:
-                print(
-                    f"  degree ({','.join(map(str, m.degree))})"
-                    f" i={m.index}: lhs {m.lhs} != rhs {m.rhs}"
+            if (old := merged.get(chk.name)) is not None:
+                chk = CheckResult(
+                    chk.name,
+                    old.degrees_checked + chk.degrees_checked,
+                    old.indices_checked + chk.indices_checked,
+                    old.failures + chk.failures,
                 )
-    print("pass" if report.passed else "fail")
+            merged[chk.name] = chk
+    return list(merged.values())
 
 
-def _cmd_parse(args) -> int:
+def _ideal_json(ideal: MonomialIdeal) -> dict:
+    gens = [format_monomial(m, ideal.var_names) for m in ideal.gens]
+    return {"vars": list(ideal.var_names), "gens": gens}
+
+
+def _cmd_parse(args) -> tuple[int, object, str]:
     ideal = _load_ideal(args.input)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "vars": list(ideal.var_names),
-                    "gens": [format_monomial(m, ideal.var_names) for m in ideal.gens],
-                },
-                indent=2,
-            )
-        )
-    else:
-        sys.stdout.write(format_ideal(ideal))
-    return 0
+    return 0, _ideal_json(ideal), format_ideal(ideal)
 
 
-def _cmd_polarize(args) -> int:
+def _cmd_polarize(args) -> tuple[int, object, str]:
     polarized = polarize_ideal(_load_ideal(args.input))
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "vars": list(polarized.ideal.var_names),
-                    "gens": [
-                        format_monomial(m, polarized.ideal.var_names)
-                        for m in polarized.ideal.gens
-                    ],
-                    "rho": list(polarized.rho),
-                    "origin_vars": list(range(1, polarized.origin_n + 1)),
-                },
-                indent=2,
-            )
-        )
-    else:
-        sys.stdout.write(format_ideal(polarized.ideal))
-    return 0
+    value = {
+        **_ideal_json(polarized.ideal),
+        "rho": list(polarized.rho),
+        "origin_vars": list(range(1, polarized.origin_n + 1)),
+    }
+    return 0, value, format_ideal(polarized.ideal)
 
 
-def _cmd_complex(args) -> int:
+def _cmd_complex(args) -> tuple[int, object, str]:
     ideal = _load_ideal(args.input)
     degree = _parse_degree(args.degree, ideal.n)
     cx = takayama_complex(ideal, degree)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "vars": list(ideal.var_names),
-                    "degree": list(degree.entries),
-                    "void": cx.is_void,
-                    "facets": [
-                        [ideal.var_names[v - 1] for v in facet]
-                        for facet in ([] if cx.is_void else cx.facets())
-                    ],
-                },
-                indent=2,
-            )
-        )
+    value = {
+        "vars": list(ideal.var_names),
+        "degree": list(degree.entries),
+        "void": cx.is_void,
+        "facets": [
+            [ideal.var_names[v - 1] for v in facet]
+            for facet in ([] if cx.is_void else cx.facets())
+        ],
+    }
+    return 0, value, format_complex(cx, ideal.var_names) + "\n"
+
+
+def _cmd_table(args) -> tuple[int, object, str]:
+    table = args.route(_load_ideal(args.input), FieldSpec.parse(args.field))
+    if args.format == "tsv":
+        text = table.to_tsv()
     else:
-        print(format_complex(cx, ideal.var_names))
-    return 0
+        lines = [f"vars {' '.join(table.ideal.var_names)}", f"field {table.field}"]
+        for deg, i, d in table.entries:
+            lines.append(f"({','.join(map(str, deg.entries))}) i={i} dim={d}")
+        text = "\n".join(lines) + "\n"
+    return 0, table.to_json_dict(), text
 
 
-def _cmd_table(args) -> int:
-    ideal = _load_ideal(args.input)
-    field = FieldSpec.parse(args.field)
-    _print_table(lc_table(ideal, field), args.format)
-    return 0
+def _cmd_depth(args) -> tuple[int, object, str]:
+    dd = depth_and_dim(_load_ideal(args.input), FieldSpec.parse(args.field))
+    cm = dd.is_cohen_macaulay
+    value = {"depth": dd.depth, "dim": dd.dim, "cohen_macaulay": cm}
+    text = f"depth {dd.depth}\ndim {dd.dim}\ncohen_macaulay {str(cm).lower()}\n"
+    return 0, value, text
 
 
-def _cmd_oracle(args) -> int:
-    ideal = _load_ideal(args.input)
-    field = FieldSpec.parse(args.field)
-    _print_table(oracle_table(ideal, field), args.format)
-    return 0
-
-
-def _cmd_depth(args) -> int:
-    ideal = _load_ideal(args.input)
-    field = FieldSpec.parse(args.field)
-    dd = depth_and_dim(ideal, field)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "depth": dd.depth,
-                    "dim": dd.dim,
-                    "cohen_macaulay": dd.is_cohen_macaulay,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"depth {dd.depth}")
-        print(f"dim {dd.dim}")
-        print(f"cohen_macaulay {'true' if dd.is_cohen_macaulay else 'false'}")
-    return 0
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, object, str]:
     ideal = _load_ideal(args.input)
     field = FieldSpec.parse(args.field)
     reports = [verify_main_theorem(ideal, field)]
@@ -247,40 +169,45 @@ def _cmd_verify(args) -> int:
     if args.depth_shift:
         reports.append(verify_depth_shift(ideal, field))
     merged = VerificationReport(ideal, field, tuple(_merge_checks(reports)))
-    _print_report(merged, args.format)
-    return 0 if merged.passed else 1
+    lines = []
+    for chk in merged.checks:
+        if chk.passed:
+            lines.append(
+                f"check {chk.name}: pass"
+                f" ({chk.degrees_checked} degrees, {chk.indices_checked} indices)"
+            )
+        else:
+            lines.append(f"check {chk.name}: FAIL ({len(chk.failures)} mismatches)")
+            for m in chk.failures[:10]:
+                lines.append(
+                    f"  degree ({','.join(map(str, m.degree))})"
+                    f" i={m.index}: lhs {m.lhs} != rhs {m.rhs}"
+                )
+    lines.append("pass" if merged.passed else "fail")
+    text = "\n".join(lines) + "\n"
+    return (0 if merged.passed else 1), merged.to_json_dict(), text
 
 
-def _cmd_fuzz(args) -> int:
+def _cmd_fuzz(args) -> tuple[int, object, str]:
     if args.trials < 0:
         raise UsageError(f"--trials must be non-negative, got {args.trials}")
     field = FieldSpec.parse(args.field)
     failures = 0
-    dicts = []
+    reports = []
     for t in range(args.trials):
         ideal = random_ideal(args.n, args.max_exp, args.gens, args.seed + t)
         report = verify_main_theorem(ideal, field)
-        if not report.passed:
-            failures += 1
+        failures += not report.passed
         if args.format == "json":
-            dicts.append(report.to_json_dict())
+            reports.append(report.to_json_dict())
         else:
-            gens = (
-                ", ".join(format_monomial(m, ideal.var_names) for m in ideal.gens)
-                or "0"
-            )
+            # written as each trial ends, so an interrupted run keeps its lines
+            gens = ", ".join(_ideal_json(ideal)["gens"]) or "0"
             status = "pass" if report.passed else "FAIL"
             print(f"trial {t} seed {args.seed + t}: ({gens}) {status}")
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"trials": args.trials, "failures": failures, "reports": dicts},
-                indent=2,
-            )
-        )
-    else:
-        print(f"{args.trials} trials, {failures} failures")
-    return 0 if failures == 0 else 1
+    value = {"trials": args.trials, "failures": failures, "reports": reports}
+    text = f"{args.trials} trials, {failures} failures\n"
+    return (0 if failures == 0 else 1), value, text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -306,8 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", required=True, help="comma-separated integers")
     # let values like -1,-1 pass as arguments instead of option lookalikes
     p._negative_number_matcher = re.compile(r"^-\d+(?:,-?\d+)*$")
-    add("table", _cmd_table, field=True, formats=("text", "json", "tsv"))
-    add("oracle", _cmd_oracle, field=True, formats=("text", "json", "tsv"))
+    for name, route in (("table", lc_table), ("oracle", oracle_table)):
+        p = add(name, _cmd_table, field=True, formats=("text", "json", "tsv"))
+        p.set_defaults(route=route)
     add("depth", _cmd_depth, field=True)
     p = add("verify", _cmd_verify, field=True)
     p.add_argument("--chain", action="store_true")
@@ -328,7 +256,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code, value, text = args.func(args)
+        if args.format == "json":
+            text = json.dumps(value, indent=2) + "\n"
+        sys.stdout.write(text)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

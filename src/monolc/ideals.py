@@ -208,6 +208,13 @@ def _tokens(body: str) -> list[tuple[str, str, int]]:
     ]
 
 
+def _integer(word: str, line: int, col: int) -> int:
+    try:
+        return int(word)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError("integer has too many digits", line, col) from None
+
+
 def parse_ideal(text: str) -> MonomialIdeal:
     """Parse the two-line ideal format.
 
@@ -253,7 +260,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
         while True:
             kind, word, col = toks[i]
             if kind == "int":
-                if int(word) != 1:
+                if _integer(word, lineno, col) != 1:
                     raise ParseError("only the factor 1 may be a bare integer", lineno, col)
             elif kind != "name":
                 raise ParseError("expected a name", lineno, col)
@@ -266,7 +273,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
                     kind, word, col = toks[i]
                     if kind != "int":
                         raise ParseError("expected a non-negative integer", lineno, col)
-                    e = int(word)
+                    e = _integer(word, lineno, col)
                 exps[var] += e
             i += 1
             if toks[i][1] != "*":

@@ -34,6 +34,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def pretty(value):
+    """The CLI's JSON layout: two-space indent, keys in insertion order."""
+    return json.dumps(value, indent=2) + "\n"
+
+
 def failing_report(ideal, field):
     miss = Mismatch((0, 0), 0, 1, 0)
     return VerificationReport(
@@ -48,8 +53,7 @@ class TestParse:
 
     def test_json(self, capsys, golden_file):
         code, out, _ = run(capsys, "parse", golden_file, "--format", "json")
-        assert code == 0
-        assert json.loads(out) == {"vars": ["x", "y"], "gens": ["x^2", "x*y"]}
+        assert (code, out) == (0, pretty({"vars": ["x", "y"], "gens": ["x^2", "x*y"]}))
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN))
@@ -86,10 +90,14 @@ class TestPolarize:
     def test_json(self, capsys, golden_file):
         code, out, _ = run(capsys, "polarize", golden_file, "--format", "json")
         assert code == 0
-        data = json.loads(out)
-        assert data["rho"] == [2, 1]
-        assert data["origin_vars"] == [1, 2]
-        assert data["gens"] == ["x_1_1*x_1_2", "x_1_1*x_2_1"]
+        assert out == pretty(
+            {
+                "vars": ["x_1_1", "x_1_2", "x_2_1"],
+                "gens": ["x_1_1*x_1_2", "x_1_1*x_2_1"],
+                "rho": [2, 1],
+                "origin_vars": [1, 2],
+            }
+        )
 
 
 class TestComplex:
@@ -114,13 +122,9 @@ class TestComplex:
             capsys, "complex", golden_file, "--degree", "0,0", "--format", "json"
         )
         assert code == 0
-        data = json.loads(out)
-        assert data == {
-            "vars": ["x", "y"],
-            "degree": [0, 0],
-            "void": False,
-            "facets": [["y"]],
-        }
+        assert out == pretty(
+            {"vars": ["x", "y"], "degree": [0, 0], "void": False, "facets": [["y"]]}
+        )
 
     def test_bad_arity(self, capsys, golden_file):
         code, _, err = run(capsys, "complex", golden_file, "--degree", "1")
@@ -128,33 +132,34 @@ class TestComplex:
         assert "2 variables" in err
 
     def test_non_integer(self, capsys, golden_file):
-        code, _, err = run(capsys, "complex", golden_file, "--degree", "1,a")
-        assert code == 2
-        assert err.startswith("error:")
+        # int() would take the last three: an Arabic-Indic one, "_" and "+"
+        for degree in ("1,a", "\u0661,0", "1_0,0", "+1,0"):
+            code, out, err = run(capsys, "complex", golden_file, "--degree", degree)
+            assert (code, out) == (2, "")
+            assert err == f"error: bad degree {degree!r}: entries must be integers\n"
 
 
 class TestTable:
     def test_text(self, capsys, golden_file):
-        code, out, _ = run(capsys, "table", golden_file)
-        assert code == 0
-        assert out.splitlines() == [
-            "vars x y",
-            "field q",
-            "(0,-1) i=1 dim=1",
-            "(1,0) i=0 dim=1",
-        ]
+        for command in ("table", "oracle"):
+            code, out, _ = run(capsys, command, golden_file)
+            assert (code, out) == (
+                0, "vars x y\nfield q\n(0,-1) i=1 dim=1\n(1,0) i=0 dim=1\n"
+            )
 
     def test_json(self, capsys, golden_file):
         code, out, _ = run(capsys, "table", golden_file, "--format", "json")
         assert code == 0
-        assert json.loads(out) == {
-            "vars": ["x", "y"],
-            "field": "q",
-            "entries": [
-                {"degree": [0, -1], "i": 1, "dim": 1},
-                {"degree": [1, 0], "i": 0, "dim": 1},
-            ],
-        }
+        assert out == pretty(
+            {
+                "vars": ["x", "y"],
+                "field": "q",
+                "entries": [
+                    {"degree": [0, -1], "i": 1, "dim": 1},
+                    {"degree": [1, 0], "i": 0, "dim": 1},
+                ],
+            }
+        )
 
     def test_tsv(self, capsys, golden_file):
         code, out, _ = run(capsys, "table", golden_file, "--format", "tsv")
@@ -198,8 +203,9 @@ class TestDepth:
 
     def test_json(self, capsys, golden_file):
         code, out, _ = run(capsys, "depth", golden_file, "--format", "json")
-        assert code == 0
-        assert json.loads(out) == {"depth": 0, "dim": 1, "cohen_macaulay": False}
+        assert (code, out) == (
+            0, pretty({"depth": 0, "dim": 1, "cohen_macaulay": False})
+        )
 
     def test_no_tsv_choice(self, capsys, golden_file):
         code, _, err = run(capsys, "depth", golden_file, "--format", "tsv")
@@ -225,9 +231,14 @@ class TestVerify:
             capsys, "verify", golden_file, "--chain", "--depth-shift"
         )
         assert code == 0
-        assert "check step2_restriction: pass" in out
-        assert "check step3_partial_polarization_j1: pass" in out
-        assert "check depth_shift: pass" in out
+        assert out == (
+            "check main_theorem: pass (6 degrees, 18 indices)\n"
+            "check rhs_index_window: pass (6 degrees, 6 indices)\n"
+            "check step2_restriction: pass (4 degrees, 12 indices)\n"
+            "check step3_partial_polarization_j1: pass (2 degrees, 6 indices)\n"
+            "check depth_shift: pass (14 degrees, 2 indices)\n"
+            "pass\n"
+        )
 
     def test_pass_json(self, capsys, golden_file):
         code, out, _ = run(
@@ -263,11 +274,12 @@ class TestFuzz:
     def test_text(self, capsys):
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("trial 0 seed 0: (")
-        assert all(line.endswith("pass") for line in lines[:3])
-        assert lines[3] == "3 trials, 0 failures"
+        assert out == (
+            "trial 0 seed 0: (x2) pass\n"
+            "trial 1 seed 1: (x2) pass\n"
+            "trial 2 seed 2: (x2) pass\n"
+            "3 trials, 0 failures\n"
+        )
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, *self.ARGS)
@@ -282,11 +294,26 @@ class TestFuzz:
     def test_json(self, capsys):
         code, out, _ = run(capsys, *self.ARGS, "--format", "json")
         assert code == 0
-        data = json.loads(out)
-        assert data["trials"] == 3
-        assert data["failures"] == 0
-        assert len(data["reports"]) == 3
-        assert all(rep["pass"] for rep in data["reports"])
+        report = {
+            "ideal": "vars x1 x2\ngens x2\n",
+            "field": "q",
+            "checks": [
+                {
+                    "name": "main_theorem",
+                    "degrees_checked": 4,
+                    "indices_checked": 12,
+                    "failures": [],
+                },
+                {
+                    "name": "rhs_index_window",
+                    "degrees_checked": 4,
+                    "indices_checked": 4,
+                    "failures": [],
+                },
+            ],
+            "pass": True,
+        }
+        assert out == pretty({"trials": 3, "failures": 0, "reports": [report] * 3})
 
     def test_failures_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_main_theorem", failing_report)
@@ -295,6 +322,20 @@ class TestFuzz:
         lines = out.splitlines()
         assert all(line.endswith("FAIL") for line in lines[:3])
         assert lines[3] == "3 trials, 3 failures"
+
+    def test_interrupt_keeps_finished_trials(self, capsys, monkeypatch):
+        calls = []
+
+        def interrupted_on_second(ideal, field):
+            calls.append(ideal)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return VerificationReport(ideal, field, ())
+
+        monkeypatch.setattr(cli, "verify_main_theorem", interrupted_on_second)
+        code, out, err = run(capsys, *self.ARGS)
+        assert (code, err) == (130, "")
+        assert out == "trial 0 seed 0: (x2) pass\n"
 
     def test_zero_ideal_prints_as_0(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--trials", "1", "--gens", "0")

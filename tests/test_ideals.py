@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,6 +256,14 @@ class TestParser:
             ("vars x y\ngens x y", "expected ','", 2, 8),
             ("vars x\ngens x,", "trailing comma", 2, 8),
             ("vars x\ngens x, # c", "trailing comma", 2, 9),
+            pytest.param(
+                "vars x\ngens x^" + "9" * (sys.get_int_max_str_digits() + 1),
+                "integer has too many digits", 2, 8, id="over-long exponent",
+            ),
+            pytest.param(
+                "vars x\ngens " + "1" * (sys.get_int_max_str_digits() + 1),
+                "integer has too many digits", 2, 6, id="over-long bare integer",
+            ),
         ],
     )
     def test_error_message_and_position(self, text, message, line, col):
