@@ -151,4 +151,6 @@ def cech_cohomology_dim(
     ideal: MonomialIdeal, degree: MultiDegree, index: int, field: FieldSpec
 ) -> int:
     """dim_k H^i_m(S/I)_a computed without any simplicial machinery."""
+    if index < 0:
+        raise ValueError("cohomological index must be non-negative")
     return cech_dims(ideal, degree, field).get(index, 0)

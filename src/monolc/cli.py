@@ -192,6 +192,7 @@ def _cmd_fuzz(args) -> tuple[int, object, str]:
     if args.trials < 0:
         raise UsageError(f"--trials must be non-negative, got {args.trials}")
     field = FieldSpec.parse(args.field)
+    random_ideal(args.n, args.max_exp, args.gens, args.seed)  # shape check, even at --trials 0
     failures = 0
     reports = []
     for t in range(args.trials):

@@ -11,6 +11,7 @@ has no cohomology in any index, while {emptyset} has reduced H^{-1} = k.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from .linalg import FieldSpec, SparseMatrix, rank
@@ -29,12 +30,14 @@ def _vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SimplicialComplex:
     """Immutable complex: a downward-closed family of subsets of 1..n."""
 
-    __slots__ = ("n_vertices", "masks")
+    n_vertices: int
+    masks: frozenset[int]
 
-    def __new__(cls, n_vertices: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
+    def __init__(self, n_vertices: int, faces: Iterable[Iterable[int]]) -> None:
         if n_vertices < 0:
             raise ValueError("negative vertex count")
         masks = frozenset(_mask_of(f, n_vertices) for f in faces)
@@ -42,7 +45,8 @@ class SimplicialComplex:
         bits = [1 << i for i in range(n_vertices)]
         if any(m & b and m ^ b not in masks for m in masks for b in bits):
             raise ValueError("family is not downward closed")
-        return cls._from_masks(n_vertices, masks)
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def _from_masks(cls, n_vertices: int, masks: frozenset[int]) -> "SimplicialComplex":
@@ -51,20 +55,6 @@ class SimplicialComplex:
         object.__setattr__(cx, "n_vertices", n_vertices)
         object.__setattr__(cx, "masks", masks)
         return cx
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SimplicialComplex is immutable")
-
-    def __reduce__(self) -> tuple:
-        return (SimplicialComplex._from_masks, (self.n_vertices, self.masks))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self.n_vertices == other.n_vertices and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash((self.n_vertices, self.masks))
 
     def __repr__(self) -> str:
         if self.is_void:
@@ -102,10 +92,6 @@ class SimplicialComplex:
     @property
     def is_void(self) -> bool:
         return not self.masks
-
-    @property
-    def is_irrelevant(self) -> bool:
-        return len(self.masks) == 1
 
     def has_face(self, face: Iterable[int]) -> bool:
         try:

@@ -347,6 +347,13 @@ class TestFuzz:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    @pytest.mark.parametrize("shape", [("--n", "0"), ("--max-exp", "0"), ("--gens", "-1")])
+    def test_bad_shape_rejected_at_any_trial_count(self, capsys, trials, shape):
+        code, out, err = run(capsys, "fuzz", "--trials", trials, *shape)
+        assert (code, out) == (2, "")
+        assert err == "error: need n >= 1, max_exp >= 1, max_gens >= 0\n"
+
 
 class TestParserErrors:
     def test_no_command(self, capsys):

@@ -78,11 +78,14 @@ class TestFieldSpec:
         assert FieldSpec.parse("gf:32003") == BIGP
 
     def test_parse_rejects(self):
-        for bad in ("gf:4", "gf:1", "gf:", "gf:x", "r", "2", "gf:\u00b2", "gf:\u0663"):
+        too_long = "gf:" + "7" * 5000  # past int()'s digit limit
+        for bad in ("gf:4", "gf:1", "gf:", "gf:x", "r", "2", "gf:\u00b2", "gf:\u0663", too_long):
             with pytest.raises(ValueError):
                 FieldSpec.parse(bad)
         with pytest.raises(ValueError, match="^bad field spec 'gf:\u00b2'$"):
             FieldSpec.parse("gf:\u00b2")
+        with pytest.raises(ValueError, match=f"^bad field spec '{too_long}'$"):
+            FieldSpec.parse(too_long)
 
     def test_prime_validation(self):
         with pytest.raises(ValueError):
@@ -123,6 +126,16 @@ class TestSparseMatrix:
     def test_transpose_and_eq(self):
         mat = SparseMatrix.from_dense([[1, 2, 0]])
         assert mat.transpose() == SparseMatrix.from_dense([[1], [2], [0]])
+
+    def test_value_contract(self):
+        mat = SparseMatrix(2, 2, {(0, 0): 1})
+        assert mat == SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 0})
+        assert mat != SparseMatrix(2, 3, {(0, 0): 1})
+        assert (mat == "x") is False
+        with pytest.raises(TypeError):
+            hash(mat)
+        assert repr(mat) == "SparseMatrix(2x2, nnz=1)"
+        assert SparseMatrix(rows=1, cols=1, entries={(0, 0): 2}).entries == {(0, 0): 2}
 
 
 class TestRank:

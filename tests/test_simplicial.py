@@ -66,6 +66,15 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             cx.n_vertices = 5
 
+    def test_value_contract(self):
+        for cx in (SimplicialComplex.void(3), SimplicialComplex.irrelevant(3), hollow_triangle()):
+            assert hash(cx) == hash((cx.n_vertices, cx.masks))
+            assert (cx == "x") is False
+        assert repr(SimplicialComplex.void(3)) == "SimplicialComplex(n=3, void)"
+        assert repr(hollow_triangle()) == "SimplicialComplex(n=3, faces=7)"
+        with pytest.raises(AttributeError):
+            hollow_triangle().masks = frozenset()
+
     def test_dimension(self):
         assert hollow_triangle().dimension() == 1
         assert SimplicialComplex.irrelevant(1).dimension() == -1

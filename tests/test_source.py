@@ -35,3 +35,24 @@ def test_stdlib_only_and_no_floating_point():
             assert not (
                 isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
             ), f"{where}: true division"
+
+
+def test_value_types_take_identity_from_dataclass():
+    """Equality, hashing, immutability, pickling and slots come from
+    @dataclass, so no class spells them out by hand."""
+    by_hand = {"__eq__", "__hash__", "__setattr__", "__reduce__", "__slots__"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}: {cls.name}.{name}"
+                          for name in names if name in by_hand]
+    assert not found, found

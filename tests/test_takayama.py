@@ -9,6 +9,7 @@ from monolc import (
     MultiDegree,
     SimplicialComplex,
     canonical_box,
+    cech_cohomology_dim,
     cech_dims,
     depth_and_dim,
     is_cone,
@@ -173,6 +174,11 @@ class TestLcDim:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             lc_dim(golden_ideal(), deg(0, 0), -1, Q)
+
+    def test_oracle_rejects_negative_index_alike(self):
+        for dim in (lc_dim, cech_cohomology_dim):
+            with pytest.raises(ValueError, match="^cohomological index must be non-negative$"):
+                dim(golden_ideal(), deg(0, 0), -1, Q)
 
     def test_dims_map_matches_pointwise(self):
         ideal = parse_ideal("vars x y\ngens x*y")
