@@ -45,10 +45,6 @@ from .verify import (
 )
 
 
-class UsageError(ValueError):
-    pass
-
-
 def oracle_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
     """The table over the canonical box computed by the brute-force
     route; mirrors lc_table entry for entry when both are correct."""
@@ -69,9 +65,9 @@ def _parse_degree(text: str, n: int) -> MultiDegree:
             raise ValueError
         entries = tuple(map(int, parts))  # may exceed int()'s digit limit
     except ValueError:
-        raise UsageError(f"bad degree {text!r}: entries must be integers")
+        raise ValueError(f"bad degree {text!r}: entries must be integers")
     if len(entries) != n:
-        raise UsageError(
+        raise ValueError(
             f"degree has {len(entries)} entries but the ideal has {n} variables"
         )
     return MultiDegree(entries)
@@ -190,7 +186,7 @@ def _cmd_verify(args) -> tuple[int, object, str]:
 
 def _cmd_fuzz(args) -> tuple[int, object, str]:
     if args.trials < 0:
-        raise UsageError(f"--trials must be non-negative, got {args.trials}")
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     field = FieldSpec.parse(args.field)
     random_ideal(args.n, args.max_exp, args.gens, args.seed)  # shape check, even at --trials 0
     failures = 0

@@ -182,10 +182,13 @@ def lc_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
 def depth_and_dim(
     ideal: MonomialIdeal, field: FieldSpec, table: LCTable | None = None
 ) -> DepthDim:
-    """Depth and Krull dimension of S/I read off the nonzero indices."""
+    """Depth and Krull dimension of S/I read off the nonzero indices.
+
+    A given table is read only if it is the table of ideal over field;
+    one built for another ideal or field is swept again."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
-    if table is None:
+    if table is None or (table.ideal, table.field) != (ideal, field):
         table = lc_table(ideal, field)
     indices = table.nonzero_indices()
     if not indices:

@@ -4,6 +4,12 @@ Each verify_* function sweeps exact dimension computations on both
 sides of an identity and reports mismatches as data instead of
 raising, so a sweep always completes and a report can drive CI.  Only
 bad input raises ValueError, the unit ideal (a zero quotient) included.
+
+A reduction step is a tuple (name, ideal, degree, shift): the
+dimensions before it at index i must equal those of the step's ideal
+at its degree at index i + shift.  Partial polarization names its
+copies x_i_j, so the steps run on the ideal renamed x1..xn when a name
+starts with x_; the reports carry the caller's ideal.
 """
 
 from __future__ import annotations
@@ -11,13 +17,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable
+from typing import Iterator, Sequence
 
 from .ideals import Monomial, MonomialIdeal, MultiDegree, format_ideal, rho
 from .linalg import FieldSpec
 from .polarization import degree_map, partial_polarize, polarize_ideal, restrict
 from .simplicial import is_cone
 from .takayama import canonical_box, depth_and_dim, lc_dims, takayama_complex
+
+Step = tuple[str, MonomialIdeal, MultiDegree, int]
+Dims = dict[int, int]  # cohomological index -> nonzero dimension, as lc_dims returns
 
 
 @dataclass(frozen=True)
@@ -78,20 +87,19 @@ class VerificationReport:
 
 
 def _compare(
-    degree: MultiDegree,
-    lhs: dict[int, int],
-    rhs: dict[int, int],
-    shift: int,
-    indices: Iterable[int],
-) -> list[Mismatch]:
-    """Expect lhs[i] == rhs[i + shift] for every i in indices."""
+    degree: MultiDegree, lhs: Dims, rhs: Dims, shift: int, indices: Sequence[int] | None = None
+) -> tuple[list[Mismatch], int]:
+    """Expect lhs[i] == rhs[i + shift] for every i in indices, by default
+    every index where either side is nonzero; also counts the indices."""
+    if indices is None:
+        indices = sorted(set(lhs) | {i - shift for i in rhs})
     out = []
     for i in indices:
         l = lhs.get(i, 0)
         r = rhs.get(i + shift, 0)
         if l != r:
             out.append(Mismatch(degree.entries, i, l, r))
-    return out
+    return out, len(indices)
 
 
 def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationReport:
@@ -113,7 +121,7 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
         lhs = lc_dims(ideal, degree, field)
         alpha = degree_map(degree, polarized.rho)
         rhs = lc_dims(polarized.ideal, alpha, field)
-        main.extend(_compare(degree, lhs, rhs, shift, range(n + 1)))
+        main.extend(_compare(degree, lhs, rhs, shift, range(n + 1))[0])
         for idx, d in rhs.items():
             if not shift <= idx <= shift + n:
                 window.append(Mismatch(degree.entries, idx - shift, 0, d))
@@ -124,35 +132,52 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
     return VerificationReport(ideal, field, checks)
 
 
-def _check_boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, ...]:
+def _boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[MonomialIdeal, tuple[int, ...]]:
+    """Check that degree lies in the box of ideal; return the ideal, renamed
+    x1..xn if a name might clash with a copy x_i_j, and rho(ideal)."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
     bounds = rho(ideal)
+    top = tuple(r - 1 for r in bounds)
     if degree.n != ideal.n:
         raise ValueError("degree length does not match variable count")
-    if not degree.leq(tuple(r - 1 for r in bounds)):
-        raise ValueError(f"degree {degree.entries} exceeds rho - 1 = "
-                         f"{tuple(r - 1 for r in bounds)}")
-    return bounds
+    if not degree.leq(top):
+        raise ValueError(f"degree {degree.entries} exceeds rho - 1 = {top}")
+    if any(v.startswith("x_") for v in ideal.var_names):
+        ideal = MonomialIdeal(tuple(f"x{i}" for i in range(1, ideal.n + 1)), ideal.gens)
+    return ideal, bounds
 
 
-def _step2_data(
-    ideal: MonomialIdeal, degree: MultiDegree
-) -> tuple[MonomialIdeal, MultiDegree, int]:
+def _cappable(degree: MultiDegree, bounds: tuple[int, ...]) -> list[int]:
+    """The coordinates j with 0 <= a_j < rho_j - 1, where partial polarization
+    applies; restriction applies to a boxed degree exactly when there are none."""
+    return [j for j, (a, r) in enumerate(zip(degree.entries, bounds), 1) if 0 <= a < r - 1]
+
+
+def _step2_data(ideal: MonomialIdeal, degree: MultiDegree) -> Step:
+    """Drop the variables at negative coordinates: indices shift down
+    by their count."""
     keep = [j for j in range(1, ideal.n + 1) if degree.entries[j - 1] >= 0]
-    restricted = restrict(ideal, keep)
     sub = MultiDegree(tuple(degree.entries[j - 1] for j in keep))
-    return restricted, sub, ideal.n - len(keep)
+    return "step2_restriction", restrict(ideal, keep), sub, len(keep) - ideal.n
 
 
-def _step3_data(
-    ideal: MonomialIdeal, degree: MultiDegree, j: int, bounds: tuple[int, ...]
-) -> tuple[MonomialIdeal, MultiDegree, int]:
-    t = degree.entries[j - 1]
-    tail = bounds[j - 1] - t - 1
-    capped = partial_polarize(ideal, j, t)
-    extended = MultiDegree(degree.entries + (-1,) * tail)
-    return capped, extended, tail
+def _step3_data(ideal: MonomialIdeal, degree: MultiDegree, j: int, name: str) -> Step:
+    """Cap variable j at a_j + 1: indices shift up by the number of
+    appended copies, which sit at degree -1."""
+    capped = partial_polarize(ideal, j, degree.entries[j - 1])
+    tail = capped.n - ideal.n
+    return name, capped, MultiDegree(degree.entries + (-1,) * tail), tail
+
+
+def _take(
+    step: Step, degree: MultiDegree, lhs: Dims, field: FieldSpec, indices: Sequence[int] | None
+) -> tuple[CheckResult, Dims]:
+    """Check a step from lhs, the dimensions at degree; also return those after it."""
+    name, reduced, at, shift = step
+    rhs = lc_dims(reduced, at, field)
+    fails, seen = _compare(degree, lhs, rhs, shift, indices)
+    return CheckResult(name, 1, seen, tuple(fails)), rhs
 
 
 def verify_reduction_chain(
@@ -166,25 +191,37 @@ def verify_reduction_chain(
     at every j with 0 <= a_j < rho_j - 1: capping variable j at a_j+1
     shifts indices up by the number of appended copies.
     """
-    bounds = _check_boxed(ideal, degree)
-    n = ideal.n
+    work, bounds = _boxed(ideal, degree)
+    steps = [
+        _step3_data(work, degree, j, f"step3_partial_polarization_j{j}")
+        for j in _cappable(degree, bounds)
+    ] or [_step2_data(work, degree)]
     lhs = lc_dims(ideal, degree, field)
-    checks: list[CheckResult] = []
-    if all(e < 0 or e == bounds[j] - 1 for j, e in enumerate(degree.entries)):
-        restricted, sub, drop = _step2_data(ideal, degree)
-        rhs = lc_dims(restricted, sub, field)
-        fails = _compare(degree, lhs, rhs, -drop, range(n + 1))
-        checks.append(CheckResult("step2_restriction", 1, n + 1, tuple(fails)))
-    for j in range(1, n + 1):
-        e = degree.entries[j - 1]
-        if 0 <= e < bounds[j - 1] - 1:
-            capped, extended, tail = _step3_data(ideal, degree, j, bounds)
-            rhs = lc_dims(capped, extended, field)
-            fails = _compare(degree, lhs, rhs, tail, range(n + 1))
-            checks.append(
-                CheckResult(f"step3_partial_polarization_j{j}", 1, n + 1, tuple(fails))
-            )
-    return VerificationReport(ideal, field, tuple(checks))
+    checks = tuple(_take(s, degree, lhs, field, range(ideal.n + 1))[0] for s in steps)
+    return VerificationReport(ideal, field, checks)
+
+
+def _walk(ideal: MonomialIdeal, degree: MultiDegree) -> Iterator[Step]:
+    """The steps from a boxed degree towards degree zero: partial
+    polarization at the first cappable coordinate while there is one,
+    restriction, then full polarization unless the degree left the box."""
+    while cappable := _cappable(degree, rho(ideal)):
+        step = _step3_data(ideal, degree, cappable[0], f"step3_j{cappable[0]}")
+        yield step
+        _, ideal, degree, _ = step
+    step = _step2_data(ideal, degree)
+    yield step
+    _, ideal, degree, _ = step
+    top = tuple(r - 1 for r in rho(ideal))
+    if degree.leq(top):
+        if degree.entries != top:
+            raise AssertionError(f"terminal degree {degree.entries} is not rho - 1")
+        polarized = polarize_ideal(ideal)
+        alpha = degree_map(degree, polarized.rho)
+        if any(alpha.entries):
+            raise AssertionError(f"terminal degree maps to {alpha.entries}, not 0")
+        shift = polarized.rho_total - ideal.n
+        yield "terminal_polarized_degree_zero", polarized.ideal, alpha, shift
 
 
 def verify_reduction_to_degree_zero(
@@ -199,86 +236,29 @@ def verify_reduction_to_degree_zero(
     chain instead terminates by confirming cone vanishing, which forces
     every dimension along the whole chain to be zero.
     """
-    _check_boxed(ideal, degree)
+    at_ideal, at_degree = _boxed(ideal, degree)[0], degree
+    dims = lc_dims(ideal, degree, field)
     checks: list[CheckResult] = []
-    current_ideal, current_degree = ideal, degree
-    current = lc_dims(current_ideal, current_degree, field)
-    while True:
-        bounds = rho(current_ideal)
-        j = next(
-            (
-                j
-                for j in range(1, current_ideal.n + 1)
-                if 0 <= current_degree.entries[j - 1] < bounds[j - 1] - 1
-            ),
-            None,
-        )
-        if j is None:
-            break
-        capped, extended, tail = _step3_data(current_ideal, current_degree, j, bounds)
-        nxt = lc_dims(capped, extended, field)
-        fails, seen = _union_compare(current_degree, current, nxt, tail)
-        checks.append(CheckResult(f"step3_j{j}", 1, seen, tuple(fails)))
-        current_ideal, current_degree, current = capped, extended, nxt
-    restricted, sub, drop = _step2_data(current_ideal, current_degree)
-    nxt = lc_dims(restricted, sub, field)
-    fails, seen = _union_compare(current_degree, current, nxt, -drop)
-    checks.append(CheckResult("step2_restriction", 1, seen, tuple(fails)))
-    current_ideal, current_degree, current = restricted, sub, nxt
-
-    bounds = rho(current_ideal)
-    if current_degree.leq(tuple(r - 1 for r in bounds)):
-        if current_degree.entries != tuple(r - 1 for r in bounds):
-            raise AssertionError(
-                f"terminal degree {current_degree.entries} is not rho - 1"
-            )
-        polarized = polarize_ideal(current_ideal)
-        alpha = degree_map(current_degree, polarized.rho)
-        if any(alpha.entries):
-            raise AssertionError(f"terminal degree maps to {alpha.entries}, not 0")
-        final = lc_dims(polarized.ideal, alpha, field)
-        shift = polarized.rho_total - current_ideal.n
-        fails, seen = _union_compare(current_degree, current, final, shift)
-        checks.append(
-            CheckResult("terminal_polarized_degree_zero", 1, seen, tuple(fails))
-        )
-    else:
-        fails = [
-            Mismatch(current_degree.entries, i, 0, d) for i, d in sorted(current.items())
-        ]
-        witness = next(
-            j
-            for j in range(1, current_ideal.n + 1)
-            if current_degree.entries[j - 1] >= bounds[j - 1]
-        )
-        cx = takayama_complex(current_ideal, current_degree)
-        if not cx.is_void and not is_cone(cx, witness):
-            fails.append(Mismatch(current_degree.entries, -1, 1, 0))
-        checks.append(
-            CheckResult(
-                "terminal_cone_vanishing", 1, len(current) + 1, tuple(fails)
-            )
-        )
+    for step in _walk(at_ideal, at_degree):
+        check, dims = _take(step, at_degree, dims, field, None)
+        checks.append(check)
+        _, at_ideal, at_degree, _ = step
+    outside = [j for j, (a, r) in enumerate(zip(at_degree.entries, rho(at_ideal)), 1) if a >= r]
+    if outside:
+        fails = [Mismatch(at_degree.entries, i, 0, d) for i, d in sorted(dims.items())]
+        cx = takayama_complex(at_ideal, at_degree)
+        if not cx.is_void and not is_cone(cx, outside[0]):
+            fails.append(Mismatch(at_degree.entries, -1, 1, 0))
+        checks.append(CheckResult("terminal_cone_vanishing", 1, len(dims) + 1, tuple(fails)))
     return VerificationReport(ideal, field, tuple(checks))
-
-
-def _union_compare(
-    degree: MultiDegree, lhs: dict[int, int], rhs: dict[int, int], shift: int
-) -> tuple[list[Mismatch], int]:
-    """Full-map equality of lhs and the shifted rhs; also counts the
-    indices inspected."""
-    indices = sorted(set(lhs) | {i - shift for i in rhs})
-    return _compare(degree, lhs, rhs, shift, indices), len(indices)
 
 
 def verify_depth_shift(ideal: MonomialIdeal, field: FieldSpec) -> VerificationReport:
     """Depth and Krull dimension both move up by exactly rho - n under
     full polarization."""
-    if ideal.is_unit:
-        raise ValueError("the unit ideal has a zero quotient")
+    before = depth_and_dim(ideal, field)
     polarized = polarize_ideal(ideal)
     shift = polarized.rho_total - ideal.n
-    before = depth_and_dim(ideal, field)
     after = depth_and_dim(polarized.ideal, field)
     fails = []
     if before.depth + shift != after.depth:

@@ -258,6 +258,19 @@ class TestVerify:
         assert "degree (0,0) i=0: lhs 1 != rhs 0" in out
 
     @pytest.mark.parametrize(
+        "text", ["vars a x_1_2\ngens a^3, x_1_2\n", "vars x_1_2 y\ngens x_1_2^3, y^2\n"]
+    )
+    @pytest.mark.parametrize("field", ["q", "gf:2"])
+    def test_copy_names_in_input(self, capsys, tmp_path, text, field):
+        """Names like the copies x_i_j of partial polarization are valid input."""
+        path = tmp_path / "ideal.txt"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "verify", str(path), "--chain", "--depth-shift", "--field", field
+        )
+        assert (code, out.splitlines()[-1], err) == (0, "pass", "")
+
+    @pytest.mark.parametrize(
         "flags", [[], ["--chain"], ["--depth-shift"], ["--chain", "--depth-shift"]]
     )
     def test_unit_ideal(self, capsys, tmp_path, flags):

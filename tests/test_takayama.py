@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -286,3 +287,10 @@ class TestDepthAndDim:
         ideal = golden_ideal()
         table = lc_table(ideal, F2)
         assert depth_and_dim(ideal, F2, table=table) == depth_and_dim(ideal, F2)
+
+    def test_ignores_foreign_table(self):
+        """Entries of (x, y) read as those of (x^2, xy) over Q give dim 0."""
+        ideal = golden_ideal()
+        foreign = lc_table(parse_ideal("vars x y\ngens x, y"), Q)
+        for table in (foreign, replace(foreign, ideal=ideal, field=F2)):
+            assert depth_and_dim(ideal, Q, table=table) == depth_and_dim(ideal, Q)

@@ -155,6 +155,34 @@ class TestReductionToDegreeZero:
                 verify_reduction_to_degree_zero(unit, degree, Q)
 
 
+# Inputs whose names are the ones partial polarization gives its copies
+COPY_NAMED = ["vars a x_1_2\ngens a^3, x_1_2", "vars x_1_2 y\ngens x_1_2^3, y^2"]
+
+
+class TestCallerIdeal:
+    """The reductions may run on a renamed copy; reports name the caller's ideal."""
+
+    @pytest.mark.parametrize("text", COPY_NAMED)
+    def test_copy_names_in_input(self, text):
+        ideal = parse_ideal(text)
+        for degree in canonical_box(ideal):
+            for fld in (Q, F2):
+                assert verify_reduction_chain(ideal, degree, fld).passed
+                assert verify_reduction_to_degree_zero(ideal, degree, fld).passed
+
+    def test_reports_carry_ideal_and_field(self):
+        ideals = [golden_ideal(), *map(parse_ideal, COPY_NAMED)]
+        ideals += [ideal for ideal in corpus(8) if not ideal.is_unit]
+        for ideal in ideals:
+            for fld in (Q, F2):
+                reports = [verify_main_theorem(ideal, fld), verify_depth_shift(ideal, fld)]
+                for degree in canonical_box(ideal)[::2]:
+                    reports.append(verify_reduction_chain(ideal, degree, fld))
+                    reports.append(verify_reduction_to_degree_zero(ideal, degree, fld))
+                for report in reports:
+                    assert (report.ideal, report.field) == (ideal, fld)
+
+
 class TestDepthShift:
     def test_golden(self):
         report = verify_depth_shift(golden_ideal(), Q)
