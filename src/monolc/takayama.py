@@ -3,10 +3,12 @@
 For a multidegree a the graded piece H^i_m(S/I)_a is computed as the
 reduced cohomology, shifted by |{j : a_j < 0}| + 1, of a simplicial
 complex determined by a and the minimal generators of I.  `lc_dims`
-reads it off that complex or off the nerve of its minimal non-faces,
-whichever has fewer possible faces; `takayama_complex` lists the faces
-for inspection.  Everything here reduces to exact rank computations,
-so results are field-aware.
+reads a cone (acyclic) or a sphere off the minimal non-faces of that
+complex alone; only when one of them is redundant for covering the
+vertices does it build the complex or the nerve of the minimal
+non-faces, whichever has fewer possible faces.  `takayama_complex`
+lists the faces for inspection.  Everything else reduces to exact rank
+computations, so results are field-aware.
 """
 
 from __future__ import annotations
@@ -65,29 +67,43 @@ def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict
     """All nonzero graded local cohomology dimensions at one degree,
     as a map cohomological index -> dimension.
 
-    By Alexander duality and the nerve theorem, H~^i of the complex on
-    V is H~_{|V|-i-3} of the nerve of its minimal non-faces, the minimal
-    blockers: a set of them is a face iff their union is not V.  The
-    nerve has at most 2^g faces for g minimal blockers, the complex 2^|V|.
+    The complex on V has the g minimal blockers as its minimal
+    non-faces.  If some vertex of V lies in none of them, the complex
+    is a cone over it and acyclic.  If each has a vertex that no other
+    one contains, a set of them covers V only when it holds all g, so
+    the nerve below is the boundary of a (g-1)-simplex and the complex
+    has H~^{|V|-1-g} = k alone.  Otherwise some blocker is redundant for
+    covering V and the cohomology is computed: by Alexander duality
+    and the nerve theorem, H~^i of the complex is H~_{|V|-i-3} of the
+    nerve of the minimal blockers, in which a set of them is a face iff
+    their union is not V.  The nerve has at most 2^g faces, the complex
+    2^|V|, and the smaller one is built.
     """
     wmask, blockers = _blockers(ideal, degree)
     if not all(blockers):
         return {}  # the void complex
-    shift = len(degree.negative_support()) + 1
+    size = wmask.bit_count()
+    shift = ideal.n - size + 1
     # drop repeats and every blocker that properly contains another
     minimal = sorted({b for b in blockers if not any(c & b == c != b for c in blockers)})
-    if len(minimal) >= wmask.bit_count():
+    once = twice = 0  # the vertices in at least one, and in at least two
+    for b in minimal:
+        twice |= once & b
+        once |= b
+    if once != wmask:
+        return {}  # a cone over a vertex in no minimal blocker
+    if all(b & ~twice for b in minimal):
+        return {size - 1 - len(minimal) + shift: 1}  # a sphere
+    if len(minimal) >= size:
         cx = _complex(ideal.n, wmask, minimal)
         return {j + shift: d for j, d in reduced_cohomology_dims(cx, field).items()}
-    if not minimal:
-        return {}  # the full simplex on V, a cone
     union_of = {0: 0}  # nerve face -> union of its blockers
     for k, b in enumerate(minimal):
         for face, union in list(union_of.items()):
             if union | b != wmask:
                 union_of[face | 1 << k] = union | b
     nerve = SimplicialComplex._from_masks(len(minimal), frozenset(union_of))
-    top = wmask.bit_count() - 3 + shift
+    top = size - 3 + shift
     return {top - j: d for j, d in reduced_cohomology_dims(nerve, field).items()}
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,7 @@ from monolc import (
     oracle_table,
     parse_ideal,
     polarize_ideal,
+    random_ideal,
     reduced_cohomology_dims,
     rho,
     takayama_complex,
@@ -90,11 +92,42 @@ def by_faces(ideal, degree, field):
     return {j + shift: d for j, d in reduced_cohomology_dims(cx, field).items()}
 
 
+def many_generators(count):
+    """Seed-deterministic ideals with 5-9 generator draws in 3-5
+    variables, exponents <= 2: more minimal blockers than corpus() has,
+    so more degrees reach the walk and the nerve."""
+    out = []
+    for s in range(count):
+        r = random.Random(s)
+        n = r.randint(3, 5)
+        max_exp = r.randint(1, 2)
+        gens = r.randint(5, 9)
+        out.append(random_ideal(n, max_exp, gens, seed=20_000 + 7919 * s))
+    return out
+
+
 class TestNerveRoute:
     BOX_CAP = 64
 
-    def test_three_routes_agree_on_corpus(self):
-        for seed, ideal in enumerate(corpus(200)):
+    def three_routes(self, ideals, monkeypatch):
+        """Check lc_dims against face enumeration and the Čech oracle
+        over Q and GF(2) at up to BOX_CAP box degrees of each non-unit
+        ideal and its polarization; count the degrees by the route
+        lc_dims took."""
+        built = []
+
+        def spy(route, fn):
+            def recorded(*args):
+                built.append(route)
+                return fn(*args)
+
+            return recorded
+
+        monkeypatch.setattr(takayama, "_complex", spy("walk", takayama._complex))
+        homology = spy("nerve", takayama.reduced_cohomology_dims)
+        monkeypatch.setattr(takayama, "reduced_cohomology_dims", homology)
+        routes = Counter()
+        for seed, ideal in enumerate(ideals):
             if ideal.is_unit:
                 continue
             for side in (ideal, polarize_ideal(ideal).ideal):
@@ -103,9 +136,32 @@ class TestNerveRoute:
                     box = random.Random(seed).sample(box, self.BOX_CAP)
                 for degree in box:
                     for field in (Q, F2):
-                        nerve = lc_dims(side, degree, field)
-                        assert nerve == by_faces(side, degree, field), (side, degree)
-                        assert nerve == cech_dims(side, degree, field), (side, degree)
+                        built.clear()
+                        dims = lc_dims(side, degree, field)
+                        route = "walk" if "walk" in built else "nerve" if built else None
+                        cx = takayama_complex(side, degree)
+                        if cx.is_void:
+                            assert route is None, (side, degree)
+                            route = "void"
+                        elif any(is_cone(cx, v) for v in range(1, side.n + 1)):
+                            assert route is None, (side, degree)
+                            route = "cone"
+                        elif route is None:
+                            assert list(dims.values()) == [1], (side, degree)
+                            route = "sphere"
+                        if field is Q:
+                            routes[route] += 1
+                        assert dims == by_faces(side, degree, field), (side, degree)
+                        assert dims == cech_dims(side, degree, field), (side, degree)
+        return routes
+
+    def test_three_routes_agree_on_corpus(self, monkeypatch):
+        self.three_routes(corpus(200), monkeypatch)
+
+    def test_three_routes_agree_on_many_generators(self, monkeypatch):
+        routes = self.three_routes(many_generators(40), monkeypatch)
+        for route in ("void", "cone", "sphere", "walk", "nerve"):
+            assert routes[route] >= 20, routes
 
     @pytest.mark.parametrize(
         "text, degree, expected",
@@ -120,6 +176,10 @@ class TestNerveRoute:
             ("vars x y z\ngens x*z^2, x^2*y*z, y^2*z^2", (0, 1, 0), {1: 1}),  # duplicate
             ("vars x y z\ngens x*z^2, x^2*y*z, y^2*z^2", (1, -1, 1), {1: 1}),  # duplicate
             ("vars x y\ngens x^2, x*y", (0, 0), {}),  # nested, a cone
+            ("vars x y z\ngens x*y, y*z", (0, 0, 0), {1: 1}),  # sphere, blockers overlap
+            ("vars x y z\ngens x*y, y*z, x*z", (0, 0, 0), {1: 2}),  # no private vertex: walk
+            ("vars w x y z\ngens w*x, y, z", (0, 0, 0, 0), {1: 1}),  # sphere, g = 3
+            ("vars x y\ngens x*y^2, x^2*y", (0, 1), {}),  # cone, y only in a non-minimal blocker
         ],
     )
     def test_named_cases(self, text, degree, expected):
@@ -128,6 +188,37 @@ class TestNerveRoute:
             assert lc_dims(ideal, deg(*degree), field) == expected
             assert by_faces(ideal, deg(*degree), field) == expected
             assert cech_dims(ideal, deg(*degree), field) == expected
+
+    @pytest.mark.parametrize(
+        "text, degree, expected",
+        [
+            ("vars x y\ngens", (0, 0), {}),  # cone, no blocker
+            ("vars x y\ngens x^2, x*y", (0, 0), {}),  # cone
+            ("vars x y\ngens x*y^2, x^2*y", (0, 1), {}),  # cone
+            ("vars x y\ngens", (-1, -1), {2: 1}),  # sphere, g = 0 and V empty
+            ("vars x y\ngens x*y", (0, 0), {1: 1}),  # sphere, g = 1
+            ("vars x y z\ngens x*y, y*z", (0, 0, 0), {1: 1}),  # sphere, g = 2
+            ("vars w x y z\ngens w*x, y, z", (0, 0, 0, 0), {1: 1}),  # sphere, g = 3
+            ("vars x y z\ngens x*y, y*z, x*z", (0, 0, 0), None),  # walk
+            ("vars w x y z\ngens w*x, x*y, y*z", (0, 0, 0, 0), None),  # nerve
+        ],
+    )
+    def test_cone_and_sphere_build_nothing(self, monkeypatch, text, degree, expected):
+        """Cone and sphere degrees are read off the blockers: neither the
+        complex nor any cohomology is computed."""
+        ideal = parse_ideal(text)
+
+        def refuse(*args):
+            raise RuntimeError("built a complex")
+
+        monkeypatch.setattr(takayama, "_complex", refuse)
+        monkeypatch.setattr(takayama, "reduced_cohomology_dims", refuse)
+        for field in (Q, F2):
+            if expected is None:
+                with pytest.raises(RuntimeError, match="built a complex"):
+                    lc_dims(ideal, deg(*degree), field)
+            else:
+                assert lc_dims(ideal, deg(*degree), field) == expected
 
     def test_power_of_one_variable(self):
         # face enumeration on the polarized side would walk 2^40 subsets
