@@ -9,6 +9,14 @@ vertices does it build the complex or the nerve of the minimal
 non-faces, whichever has fewer possible faces.  `takayama_complex`
 lists the faces for inspection.  Everything else reduces to exact rank
 computations, so results are field-aware.
+
+The complex depends on a_j only through whether a_j is -1 and which
+generator exponents it is below, so the canonical box splits into
+cells of equal complexes.  `lc_table` and `depth_and_dim` sweep it by
+cells, fixing one coordinate at a time and skipping subtrees that are
+void, and compute once per cell; `depth_and_dim` reads its two indices
+off the cells.  `box_table` still goes degree by degree, which keeps
+the Čech oracle a per-degree check.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .ideals import MonomialIdeal, MultiDegree, rho
 from .linalg import FieldSpec
@@ -80,10 +88,16 @@ def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict
     2^|V|, and the smaller one is built.
     """
     wmask, blockers = _blockers(ideal, degree)
+    return _dims(ideal.n, wmask, blockers, field)
+
+
+def _dims(n: int, wmask: int, blockers: list[int], field: FieldSpec) -> dict[int, int]:
+    """lc_dims at the degree with non-negative positions wmask and these
+    blockers, one per minimal generator of an ideal in n variables."""
     if not all(blockers):
         return {}  # the void complex
     size = wmask.bit_count()
-    shift = ideal.n - size + 1
+    shift = n - size + 1
     # drop repeats and every blocker that properly contains another
     minimal = sorted({b for b in blockers if not any(c & b == c != b for c in blockers)})
     once = twice = 0  # the vertices in at least one, and in at least two
@@ -95,7 +109,7 @@ def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict
     if all(b & ~twice for b in minimal):
         return {size - 1 - len(minimal) + shift: 1}  # a sphere
     if len(minimal) >= size:
-        cx = _complex(ideal.n, wmask, minimal)
+        cx = _complex(n, wmask, minimal)
         return {j + shift: d for j, d in reduced_cohomology_dims(cx, field).items()}
     union_of = {0: 0}  # nerve face -> union of its blockers
     for k, b in enumerate(minimal):
@@ -173,40 +187,94 @@ class LCTable:
         return "\n".join(lines) + "\n"
 
 
+def _check(dims: dict[int, int], n: int, degree: tuple) -> None:
+    """Raise unless every index of dims lies in 0..n; degree names the
+    degree or the cell for the error."""
+    for i in dims:
+        if not 0 <= i <= n:
+            raise AssertionError(f"cohomology index {i} outside 0..{n} at degree {degree}")
+
+
 def box_table(ideal: MonomialIdeal, field: FieldSpec, dims_at: Callable) -> LCTable:
     """Sweep the canonical box with dims_at(ideal, degree, field), a map
     index -> dimension of the nonzero pieces, and record every one."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
-    n = ideal.n
     entries = []
     for degree in canonical_box(ideal):
-        for i, d in sorted(dims_at(ideal, degree, field).items()):
-            if not 0 <= i <= n:
-                raise AssertionError(
-                    f"cohomology index {i} outside 0..{n} at degree {degree.entries}"
-                )
-            entries.append((degree, i, d))
+        if dims := dims_at(ideal, degree, field):
+            _check(dims, ideal.n, degree.entries)
+            entries.extend((degree, i, d) for i, d in dims.items())
     return LCTable(ideal, field, tuple(entries))
 
 
+def _cells(
+    ideal: MonomialIdeal, field: FieldSpec
+) -> Iterator[tuple[tuple[range, ...], dict[int, int]]]:
+    """The cells of the canonical box with nonzero cohomology, depth
+    first: per cell a range of values for each coordinate, and the map
+    index -> dimension that holds at every degree of the cell.
+
+    The complex at a depends on a_j only through whether a_j is -1 and
+    which generator exponents it is below, so the values of a coordinate
+    split into -1 and the runs of a_j >= 0 below the same exponents.
+    Fixing a coordinate adds its bit to V and to the blockers of the
+    generators it is below.  Once a generator has no blocker and no
+    later coordinate has a positive exponent in it, every degree below
+    is void, and that subtree is skipped.
+    """
+    if ideal.is_unit:
+        raise ValueError("the unit ideal has a zero quotient")
+    n, gens = ideal.n, [m.exponents for m in ideal.gens]
+    # per coordinate, the generators with no positive exponent after it
+    closing: list[list[int]] = [[] for _ in range(n)]
+    for k, e in enumerate(gens):
+        closing[max(j for j in range(n) if e[j])].append(k)
+    levels = []  # per coordinate: (values, bit of V, bit added to each blocker or None)
+    for j, r in enumerate(rho(ideal)):
+        cuts = sorted({0, r} | {e[j] for e in gens if e[j] < r})
+        level = [(range(-1, 0), 0, None)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            level.append((range(lo, hi), 1 << j, [1 << j if lo < e[j] else 0 for e in gens]))
+        levels.append(level[::-1])  # the stack pops them in increasing order
+    stack = [(0, 0, [0] * len(gens), ())]
+    while stack:
+        j, wmask, blockers, runs = stack.pop()
+        if j == n:
+            if dims := _dims(n, wmask, blockers, field):
+                _check(dims, n, runs)
+                yield runs, dims
+            continue
+        for values, bit, adds in levels[j]:
+            grown = [b | add for b, add in zip(blockers, adds)] if bit else blockers
+            if all(map(grown.__getitem__, closing[j])):
+                stack.append((j + 1, wmask | bit, grown, runs + (values,)))
+
+
 def lc_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
-    """Sweep the canonical box and record every nonzero graded piece."""
-    return box_table(ideal, field, lc_dims)
+    """Sweep the canonical box by cells and record every nonzero graded piece."""
+    entries = []
+    for runs, dims in _cells(ideal, field):
+        for point in itertools.product(*runs):
+            degree = MultiDegree(point)
+            entries.extend((degree, i, d) for i, d in dims.items())
+    return LCTable(ideal, field, tuple(entries))
 
 
 def depth_and_dim(
     ideal: MonomialIdeal, field: FieldSpec, table: LCTable | None = None
 ) -> DepthDim:
-    """Depth and Krull dimension of S/I read off the nonzero indices.
+    """Depth and Krull dimension of S/I: the least and greatest nonzero
+    index, read off the cells of the box.
 
-    A given table is read only if it is the table of ideal over field;
-    one built for another ideal or field is swept again."""
+    A given table is read instead only if it is the table of ideal over
+    field; one built for another ideal or field is not used."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
-    if table is None or (table.ideal, table.field) != (ideal, field):
-        table = lc_table(ideal, field)
-    indices = table.nonzero_indices()
+    if table is not None and (table.ideal, table.field) == (ideal, field):
+        indices = table.nonzero_indices()
+    else:
+        indices = {i for _, dims in _cells(ideal, field) for i in dims}
     if not indices:
         raise AssertionError("a nonzero quotient must have nonzero local cohomology")
     return DepthDim(depth=min(indices), dim=max(indices))

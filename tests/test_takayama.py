@@ -385,3 +385,52 @@ class TestDepthAndDim:
         foreign = lc_table(parse_ideal("vars x y\ngens x, y"), Q)
         for table in (foreign, replace(foreign, ideal=ideal, field=F2)):
             assert depth_and_dim(ideal, Q, table=table) == depth_and_dim(ideal, Q)
+
+
+class TestCellSweep:
+    """lc_table and depth_and_dim sweep the box by cells; box_table with
+    lc_dims, one degree at a time, stays the reference."""
+
+    @pytest.mark.parametrize("field", [Q, F2, FieldSpec.gf(32003)], ids=str)
+    def test_equals_the_per_degree_sweep(self, field):
+        for ideal in corpus(200) + many_generators(40):
+            if ideal.is_unit:
+                continue
+            for side in (ideal, polarize_ideal(ideal).ideal):
+                reference = takayama.box_table(side, field, lc_dims)
+                assert lc_table(side, field) == reference, side
+                indices = reference.nonzero_indices()
+                dd = depth_and_dim(side, field)
+                assert (dd.depth, dd.dim) == (min(indices), max(indices)), side
+
+    @pytest.mark.parametrize(
+        "text, degree, expected",
+        [
+            # x = 0 and x = 1 differ only in whether x*y is blocked at x
+            ("vars x y\ngens x^2, x*y", (0, -1), {1: 1}),
+            ("vars x y\ngens x^2, x*y", (1, -1), {}),
+            ("vars x y\ngens x^2, x*y", (1, 0), {0: 1}),
+            # x = 1 and x = 2 differ only in whether x^3*y is blocked at x
+            ("vars x y\ngens x^3*y, x*y^2", (1, 1), {0: 1}),
+            ("vars x y\ngens x^3*y, x*y^2", (2, 1), {0: 1}),
+            ("vars x y\ngens x^3*y, x*y^2", (1, 0), {}),
+            # z is unblocked until the last coordinate
+            ("vars x y z\ngens z", (-1, -1, 0), {2: 1}),
+            # x*z is unblocked at x = -1 until z is fixed
+            ("vars x y z\ngens x*z, y", (-1, 0, 0), {1: 1}),
+            ("vars x y z\ngens x*z, y*z", (-1, -1, 0), {2: 1}),
+        ],
+    )
+    def test_cell_boundaries_and_pruning(self, text, degree, expected):
+        ideal = parse_ideal(text)
+        for field in (Q, F2):
+            table = lc_table(ideal, field)
+            assert table == takayama.box_table(ideal, field, lc_dims)
+            assert table.dims_at(deg(*degree)) == expected
+            assert lc_dims(ideal, deg(*degree), field) == expected
+
+    def test_index_outside_range_raises(self, monkeypatch):
+        monkeypatch.setattr(takayama, "_dims", lambda n, wmask, blockers, field: {n + 1: 1})
+        for sweep in (lc_table, depth_and_dim):
+            with pytest.raises(AssertionError, match="cohomology index 3 outside 0..2"):
+                sweep(golden_ideal(), Q)
