@@ -5,7 +5,8 @@ Run as `monolc` or `python -m monolc`.  Each `_cmd_*` handler returns
 (exit code, JSON value, text), and `main` alone writes the JSON or the
 text that `--format` asks for.  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage or input errors,
-3 internal error (a broken invariant), 130 interrupted.
+3 internal error (a broken invariant or any unexpected exception),
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -266,6 +267,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except KeyboardInterrupt:
         return 130
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

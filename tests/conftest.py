@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from monolc import MonomialIdeal, parse_ideal, random_ideal
@@ -18,3 +19,11 @@ def corpus(count: int) -> list[MonomialIdeal]:
 
 def golden_ideal() -> MonomialIdeal:
     return parse_ideal("vars x y\ngens x^2, x*y")
+
+
+def edge_ideal(k: int) -> MonomialIdeal:
+    """The edge ideal of the complete graph K_k in x1..xk: k(k-1)/2
+    square-free quadrics."""
+    names = [f"x{i}" for i in range(1, k + 1)]
+    gens = ", ".join(u + "*" + v for u, v in itertools.combinations(names, 2))
+    return parse_ideal(f"vars {' '.join(names)}\ngens {gens}")

@@ -13,10 +13,11 @@ from monolc import (
     Mismatch,
     VerificationReport,
     FieldSpec,
+    format_ideal,
     lc_table,
     oracle_table,
 )
-from conftest import golden_ideal
+from conftest import edge_ideal, golden_ideal
 
 GOLDEN = "vars x y\ngens x^2, x*y\n"
 
@@ -137,6 +138,19 @@ class TestComplex:
             code, out, err = run(capsys, "complex", golden_file, "--degree", degree)
             assert (code, out) == (2, "")
             assert err == f"error: bad degree {degree!r}: entries must be integers\n"
+
+    @pytest.mark.parametrize("k", [20, 22])
+    def test_edge_ideal_of_complete_graph(self, capsys, tmp_path, k):
+        """At degree 0 the facets are the k singletons; with half the
+        coordinates at -1 the complex is void."""
+        ideal = edge_ideal(k)
+        path = tmp_path / "ideal.txt"
+        path.write_text(format_ideal(ideal))
+        singletons = "{" + ", ".join(ideal.var_names) + "}\n"
+        zero = ",".join(["0"] * k)
+        assert run(capsys, "complex", str(path), "--degree", zero) == (0, singletons, "")
+        half = ",".join(["-1"] * (k // 2) + ["0"] * (k - k // 2))
+        assert run(capsys, "complex", str(path), "--degree", half) == (0, "void\n", "")
 
 
 class TestTable:
@@ -388,6 +402,28 @@ class TestInternalErrors:
         code, out, err = run(capsys, "table", golden_file)
         assert (code, out) == (3, "")
         assert err == "internal error: cohomology index 9 outside 0..2\n"
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (KeyError("x"), "KeyError: 'x'"),
+            (ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command, target", [("table", "lc_table"), ("verify", "verify_main_theorem")]
+    )
+    def test_unexpected_exception_exits_3(
+        self, capsys, golden_file, monkeypatch, error, line, command, target
+    ):
+        """Any other exception is an internal error too, not a mismatch."""
+
+        def broken(ideal, field):
+            raise error
+
+        monkeypatch.setattr(cli, target, broken)
+        code, out, err = run(capsys, command, golden_file)
+        assert (code, out, err) == (3, "", f"internal error: {line}\n")
 
     def test_interrupt_exits_130(self, capsys, golden_file, monkeypatch):
         def interrupted(ideal, field):

@@ -28,7 +28,7 @@ from monolc import (
     verify_main_theorem,
 )
 from monolc import takayama
-from conftest import corpus, golden_ideal
+from conftest import corpus, edge_ideal, golden_ideal
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -39,6 +39,8 @@ def deg(*entries):
 
 
 class TestTakayamaComplex:
+    BOX_CAP = 64
+
     def test_golden_degree_1_0(self):
         cx = takayama_complex(golden_ideal(), deg(1, 0))
         assert cx == SimplicialComplex.irrelevant(2)
@@ -76,12 +78,59 @@ class TestTakayamaComplex:
                 cx = takayama_complex(ideal, degree)
                 assert cx == SimplicialComplex(ideal.n, cx.faces)
 
+    def test_equals_the_definition(self):
+        for seed, ideal in enumerate(corpus(200) + many_generators(40)):
+            if ideal.is_unit:
+                continue
+            for side in (ideal, polarize_ideal(ideal).ideal):
+                box = canonical_box(side)
+                if len(box) > self.BOX_CAP:
+                    box = random.Random(seed).sample(box, self.BOX_CAP)
+                for degree in box:
+                    masks = takayama_complex(side, degree).masks
+                    assert masks == faces_by_definition(side, degree), (side, degree)
+
+    @pytest.mark.parametrize(
+        "text, degree, count",
+        [
+            ("vars x y\ngens x^2, x*y", (0, -1), 1),
+            ("vars x y\ngens x^2, x*y", (-3, 1), 0),  # x*y blocked nowhere: void
+            ("vars x y\ngens x*y", (1, 1), 0),  # blocked nowhere: void
+            ("vars w x y z\ngens w*x, y*z", (0, 0, 0, -1), 3),  # {}, {w}, {x}
+            ("vars w x y z\ngens w*x, y*z", (-1, 0, 0, 0), 3),  # {}, {y}, {z}
+            ("vars w x y z\ngens w*x, y*z", (0, -2, 0, 1), 2),  # {}, {z}
+            ("vars x y z\ngens", (0, 0, 0), 8),  # zero ideal: the simplex on V
+            ("vars x y z\ngens", (0, -1, 2), 4),
+            ("vars x y z\ngens", (-1, -1, -1), 1),
+        ],
+    )
+    def test_named_degrees_equal_the_definition(self, text, degree, count):
+        ideal = parse_ideal(text)
+        masks = takayama_complex(ideal, deg(*degree)).masks
+        assert masks == faces_by_definition(ideal, deg(*degree))
+        assert len(masks) == count
+
     def test_truncation_invariance(self):
         ideal = parse_ideal("vars x y z\ngens x^2*y, y^3*z, x*z^2")
         a = deg(-5, 2, -1)
         b = deg(-1, 2, -9)
         assert takayama_complex(ideal, a) == takayama_complex(ideal, b)
         assert lc_dims(ideal, a, Q) == lc_dims(ideal, b, Q)
+
+
+def faces_by_definition(ideal, degree):
+    """The face masks of the degree-a complex by testing every subset G
+    of the non-negative positions V: G is a face iff for every generator
+    some position of V outside G has a_j below its exponent.  The 2^|V|
+    reference that the grown complex replaced."""
+    a = degree.entries
+    V = [j for j in range(ideal.n) if a[j] >= 0]
+    faces = set()
+    for size in range(len(V) + 1):
+        for G in itertools.combinations(V, size):
+            if all(any(j not in G and a[j] < m.exponents[j] for j in V) for m in ideal.gens):
+                faces.add(sum(1 << j for j in G))
+    return frozenset(faces)
 
 
 def by_faces(ideal, degree, field):
@@ -229,6 +278,27 @@ class TestNerveRoute:
     def test_degree_length_mismatch(self):
         with pytest.raises(ValueError):
             lc_dims(golden_ideal(), deg(1), Q)
+
+    @pytest.mark.parametrize("k", [20, 22])
+    def test_edge_ideals_of_complete_graphs(self, monkeypatch, k):
+        """Hundreds of generators in many variables.  At degree 0 lc_dims
+        walks the complex, whose only faces are the empty face and the k
+        singletons; with half the coordinates at -1 it is void."""
+        ideal = edge_ideal(k)
+        walk, walked = takayama._complex, []
+
+        def counted(*args):
+            cx = walk(*args)
+            walked.append(len(cx.masks))
+            return cx
+
+        monkeypatch.setattr(takayama, "_complex", counted)
+        zero = deg(*[0] * k)
+        half = deg(*[-1] * (k // 2) + [0] * (k - k // 2))
+        for field in (Q, F2):
+            assert lc_dims(ideal, zero, field) == cech_dims(ideal, zero, field) == {1: k - 1}
+            assert lc_dims(ideal, half, field) == cech_dims(ideal, half, field) == {}
+        assert walked == [k + 1, k + 1]
 
     def test_many_generators_walk_the_complex(self, monkeypatch):
         # the edge ideal of K_7: 21 generators in 7 variables; at degree 0
