@@ -6,13 +6,14 @@ Run as `monolc` or `python -m monolc`.  Each `_cmd_*` handler returns
 text that `--format` asks for.  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage or input errors,
 3 internal error (a broken invariant or any unexpected exception),
-130 interrupted.
+130 interrupted, 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -259,6 +260,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             text = json.dumps(value, indent=2) + "\n"
         sys.stdout.write(text)
         return code
+    except BrokenPipeError:
+        # the reader closed stdout: say nothing, and send what is still
+        # buffered to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,8 @@ equal iff they define the same quotient.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import neg
 from typing import Iterable, Sequence
 
 
@@ -63,7 +64,7 @@ def divides(m: Monomial, other: Monomial) -> bool:
 
 def _canonical_key(m: Monomial) -> tuple:
     # ascending total degree, then descending lex, so x^2 prints before x*y
-    return (m.total_degree, tuple(-e for e in m.exponents))
+    return (sum(m.exponents), tuple(map(neg, m.exponents)))
 
 
 def minimalize(gens: Iterable[Monomial]) -> list[Monomial]:
@@ -71,17 +72,35 @@ def minimalize(gens: Iterable[Monomial]) -> list[Monomial]:
 
     Duplicates count once.  The result is the unique minimal generating
     set of the ideal the input generates, in canonical order.
+
+    One pass in canonical order: a proper divisor has smaller total
+    degree, so it comes first, and a redundant divisor has a kept
+    divisor of its own; so a monomial is redundant exactly when a kept
+    one of smaller total degree divides it.
     """
     unique = {m.exponents: m for m in gens}
-    ms = list(unique.values())
-    if ms and any(m.n != ms[0].n for m in ms):
+    if len({len(exps) for exps in unique}) > 1:
         raise ValueError("mixed ambient rings")
-    kept = [
-        m
-        for m in ms
-        if not any(g is not m and g.divides(m) for g in ms)
-    ]
-    return sorted(kept, key=_canonical_key)
+    kept: list[Monomial] = []
+    lower: list[tuple[int, ...]] = []  # exponents kept below the current degree
+    level: list[tuple[int, ...]] = []  # and at it
+    degree = None
+    for m in sorted(unique.values(), key=_canonical_key):
+        exps = m.exponents
+        if (d := sum(exps)) != degree:
+            degree = d
+            lower += level
+            level = []
+        for low in lower:
+            for a, b in zip(low, exps):
+                if a > b:
+                    break
+            else:
+                break  # low divides m
+        else:
+            kept.append(m)
+            level.append(exps)
+    return kept
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -93,6 +112,8 @@ class MonomialIdeal:
 
     var_names: tuple[str, ...]
     gens: tuple[Monomial, ...]
+    # rho of the minimal generators, computed once; see rho()
+    _rho: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(self.var_names)
@@ -102,11 +123,12 @@ class MonomialIdeal:
             if not _NAME_RE.fullmatch(nm):
                 raise ValueError(f"bad variable name {nm!r}")
         gens = tuple(minimalize(self.gens))
-        for m in gens:
-            if m.n != len(names):
-                raise ValueError("generator does not match variable count")
+        if gens and gens[0].n != len(names):  # minimalize checked they share a ring
+            raise ValueError("generator does not match variable count")
         object.__setattr__(self, "var_names", names)
         object.__setattr__(self, "gens", gens)
+        columns = zip([1] * len(names), *(m.exponents for m in gens))
+        object.__setattr__(self, "_rho", tuple(map(max, columns)))
 
     @property
     def n(self) -> int:
@@ -124,16 +146,12 @@ class MonomialIdeal:
 def rho(ideal: MonomialIdeal) -> tuple[int, ...]:
     """Per-variable exponent bounds: max of each exponent over the
     minimal generators, clamped below by 1 so every variable owns at
-    least one polarized copy."""
-    out = []
-    for i in range(ideal.n):
-        best = max((m.exponents[i] for m in ideal.gens), default=0)
-        out.append(max(1, best))
-    return tuple(out)
+    least one polarized copy.  Computed once, when the ideal is built."""
+    return ideal._rho
 
 
 def rho_total(ideal: MonomialIdeal) -> int:
-    return sum(rho(ideal))
+    return sum(ideal._rho)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,20 @@ def corpus(count: int) -> list[MonomialIdeal]:
     return out
 
 
+def many_generators(count: int) -> list[MonomialIdeal]:
+    """Seed-deterministic ideals with 5-9 generator draws in 3-5
+    variables, exponents <= 2: more minimal blockers than corpus() has,
+    so more degrees reach the walk and the nerve."""
+    out = []
+    for s in range(count):
+        r = random.Random(s)
+        n = r.randint(3, 5)
+        max_exp = r.randint(1, 2)
+        gens = r.randint(5, 9)
+        out.append(random_ideal(n, max_exp, gens, seed=20_000 + 7919 * s))
+    return out
+
+
 def golden_ideal() -> MonomialIdeal:
     return parse_ideal("vars x y\ngens x^2, x*y")
 

@@ -443,3 +443,25 @@ class TestModuleEntry:
             input=GOLDEN, env=env, capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, GOLDEN, "")
+
+    def test_closed_stdout_exits_141_quietly(self):
+        """A reader that stops early (`monolc fuzz | head -1`) is not an
+        input error: exit 128 + SIGPIPE with nothing on stderr.  The run
+        writes about 150 kB, more than a pipe buffers, so a write after
+        the close is certain."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        argv = ["fuzz", "--trials", "5000", "--n", "1", "--max-exp", "1", "--gens", "1"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "monolc", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert first == b"trial 0 seed 0: (x1) pass\n"
+        assert (proc.returncode, err) == (141, b"")

@@ -1,3 +1,6 @@
+import copy
+import pickle
+import random
 import sys
 
 import pytest
@@ -5,19 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monolc import (
+    FieldSpec,
     Monomial,
     MonomialIdeal,
     MultiDegree,
     ParseError,
+    canonical_box,
     divides,
     format_ideal,
     format_monomial,
     minimalize,
     negative_support,
     parse_ideal,
+    polarize_ideal,
     rho,
     rho_total,
 )
+from monolc import verify
+from conftest import corpus, edge_ideal, many_generators
 
 
 def m(*exps):
@@ -87,6 +95,126 @@ class TestMinimalize:
         # ascending total degree, descending lex inside a degree
         assert minimalize([m(1, 1), m(2, 0)]) == [m(2, 0), m(1, 1)]
         assert minimalize([m(0, 3), m(2, 0)]) == [m(2, 0), m(0, 3)]
+
+
+def minimal_by_definition(gens):
+    """Exponents of the minimal generators by the definition: each
+    distinct monomial that no other distinct one in the list divides,
+    by ascending total degree, then descending lex.  The all-pairs
+    reference that the one-pass minimalize replaced."""
+    unique = {g.exponents for g in gens}
+    kept = [
+        e for e in unique
+        if not any(f != e and all(a <= b for a, b in zip(f, e)) for f in unique)
+    ]
+    return sorted(kept, key=lambda e: (sum(e), [-a for a in e]))
+
+
+def generator_draws(monkeypatch):
+    """The generator lists random_ideal hands to MonomialIdeal for
+    corpus(200) and many_generators(40), before minimalization."""
+    draws = []
+    build = verify.MonomialIdeal
+
+    def recorded(names, gens):
+        draws.append(list(gens))
+        return build(names, gens)
+
+    monkeypatch.setattr(verify, "MonomialIdeal", recorded)
+    corpus(200)
+    many_generators(40)
+    monkeypatch.undo()
+    return draws
+
+
+class TestMinimalizeByDefinition:
+    def agree(self, gens):
+        assert [g.exponents for g in minimalize(gens)] == minimal_by_definition(gens)
+
+    def test_recipe_draws(self, monkeypatch):
+        draws = generator_draws(monkeypatch)
+        assert len(draws) == 240
+        assert sum(len(d) > len(minimalize(d)) for d in draws) > 50  # many drop a generator
+        for gens in draws:
+            self.agree(gens)
+
+    def test_duplicates_and_equal_degrees(self):
+        # a few exponents in few variables: many repeats, many ties in total degree
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 4)
+            pool = [m(*(rng.randint(0, 2) for _ in range(n))) for _ in range(rng.randint(1, 8))]
+            gens = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
+            self.agree(gens)
+            self.agree(gens[::-1])
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_edge_ideals_with_multiples(self, k):
+        edges = edge_ideal(k).gens
+        rng = random.Random(k)
+        multiples = [
+            m(*(a + rng.randint(0, 2) for a in g.exponents)) for g in rng.choices(edges, k=3 * k)
+        ]
+        gens = list(edges) + multiples
+        rng.shuffle(gens)
+        self.agree(gens)
+        assert tuple(minimalize(gens)) == edges
+
+
+def rho_by_definition(ideal):
+    """Per variable, the largest exponent in a minimal generator, at least 1."""
+    return tuple(max([1] + [g.exponents[i] for g in ideal.gens]) for i in range(ideal.n))
+
+
+class TestStoredRho:
+    def reduction_ideals(self, ideal, monkeypatch):
+        """Every restriction and partial polarization that
+        verify_reduction_chain builds over the box of ideal."""
+        built = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                built.append(out)
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(verify, "restrict", recorded(verify.restrict))
+        monkeypatch.setattr(verify, "partial_polarize", recorded(verify.partial_polarize))
+        for degree in canonical_box(ideal):
+            verify.verify_reduction_chain(ideal, degree, FieldSpec.rationals())
+        monkeypatch.undo()
+        return built
+
+    def test_matches_a_recomputation(self, monkeypatch):
+        steps = 0
+        for ideal in corpus(200):
+            if ideal.is_unit:
+                continue
+            reduced = self.reduction_ideals(ideal, monkeypatch)
+            steps += len(reduced)
+            for each in [ideal, polarize_ideal(ideal).ideal, *reduced]:
+                assert rho(each) == rho_by_definition(each), format_ideal(each)
+                assert rho_total(each) == sum(rho_by_definition(each))
+        assert steps > 1000
+
+    def test_identity_ignores_it(self):
+        ideal = parse_ideal("vars x y z\ngens x^3*y, y^2*z, x*z^2")
+        twin = MonomialIdeal(("x", "y", "z"), (m(1, 0, 2), m(3, 1, 0), m(0, 2, 1), m(3, 3, 3)))
+        assert ideal == twin and hash(ideal) == hash(twin)
+        assert hash(ideal) == hash((ideal.var_names, ideal.gens))
+        assert ideal != MonomialIdeal(("x", "y", "w"), ideal.gens)
+        assert repr(ideal) == (
+            "MonomialIdeal(var_names=('x', 'y', 'z'), gens=(Monomial(exponents=(1, 0, 2)),"
+            " Monomial(exponents=(0, 2, 1)), Monomial(exponents=(3, 1, 0))))"
+        )
+
+    def test_survives_copy_and_pickle(self):
+        ideal = parse_ideal("vars x y z\ngens x^3*y, y^2*z, x*z^2")
+        for twin in (copy.copy(ideal), copy.deepcopy(ideal), pickle.loads(pickle.dumps(ideal))):
+            assert twin == ideal and hash(twin) == hash(ideal) and repr(twin) == repr(ideal)
+            assert rho(twin) == rho(ideal) == (3, 2, 2)
 
 
 class TestMonomialIdeal:

@@ -21,14 +21,13 @@ from monolc import (
     oracle_table,
     parse_ideal,
     polarize_ideal,
-    random_ideal,
     reduced_cohomology_dims,
     rho,
     takayama_complex,
     verify_main_theorem,
 )
 from monolc import takayama
-from conftest import corpus, edge_ideal, golden_ideal
+from conftest import corpus, edge_ideal, golden_ideal, many_generators
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -139,20 +138,6 @@ def by_faces(ideal, degree, field):
     shift = len(degree.negative_support()) + 1
     cx = takayama_complex(ideal, degree)
     return {j + shift: d for j, d in reduced_cohomology_dims(cx, field).items()}
-
-
-def many_generators(count):
-    """Seed-deterministic ideals with 5-9 generator draws in 3-5
-    variables, exponents <= 2: more minimal blockers than corpus() has,
-    so more degrees reach the walk and the nerve."""
-    out = []
-    for s in range(count):
-        r = random.Random(s)
-        n = r.randint(3, 5)
-        max_exp = r.randint(1, 2)
-        gens = r.randint(5, 9)
-        out.append(random_ideal(n, max_exp, gens, seed=20_000 + 7919 * s))
-    return out
 
 
 class TestNerveRoute:
