@@ -129,10 +129,7 @@ def _cmd_complex(args) -> tuple[int, object, str]:
         "vars": list(ideal.var_names),
         "degree": list(degree.entries),
         "void": cx.is_void,
-        "facets": [
-            [ideal.var_names[v - 1] for v in facet]
-            for facet in ([] if cx.is_void else cx.facets())
-        ],
+        "facets": [[ideal.var_names[v - 1] for v in facet] for facet in cx.facets()],
     }
     return 0, value, format_complex(cx, ideal.var_names) + "\n"
 

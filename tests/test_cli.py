@@ -16,6 +16,7 @@ from monolc import (
     format_ideal,
     lc_table,
     oracle_table,
+    parse_ideal,
 )
 from conftest import edge_ideal, golden_ideal
 
@@ -184,12 +185,17 @@ class TestTable:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_unit_ideal(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "command, route", [("table", lc_table), ("oracle", oracle_table)]
+    )
+    def test_unit_ideal(self, capsys, tmp_path, command, route):
         path = tmp_path / "unit.txt"
         path.write_text("vars x\ngens 1\n")
-        code, _, err = run(capsys, "table", str(path))
-        assert code == 2
-        assert "unit" in err
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: the unit ideal has a zero quotient\n"
+        with pytest.raises(ValueError, match="^the unit ideal has a zero quotient$"):
+            route(parse_ideal("vars x\ngens 1"), FieldSpec.rationals())
 
 
 class TestOracleAgreement:

@@ -96,6 +96,11 @@ class TestFieldSpec:
             FieldSpec.gf(2**31 + 11)
         assert FieldSpec.gf(2147483629).p == 2147483629
 
+    @pytest.mark.parametrize("p", [True, "3"], ids=repr)
+    def test_characteristic_must_be_an_integer(self, p):
+        with pytest.raises(ValueError, match="^characteristic must be an integer$"):
+            FieldSpec(p)
+
     def test_str_round_trip(self):
         for f in (Q, F2, BIGP):
             assert FieldSpec.parse(str(f)) == f

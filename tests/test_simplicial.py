@@ -45,6 +45,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimplicialComplex.from_facets(2, [(0,)])
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^negative vertex count$"):
+            SimplicialComplex(-1, [])
+
     def test_from_facets_closure(self):
         cx = SimplicialComplex.from_facets(3, [(1, 2, 3)])
         assert len(cx.faces) == 8
