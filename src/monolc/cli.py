@@ -1,5 +1,6 @@
 """Command-line surface: parse, polarize, complex, table, oracle,
-depth, verify, fuzz.
+depth, verify, fuzz.  No library module takes a name from it, and
+bench/ reads `_merge_checks`.
 
 Run as `monolc` or `python -m monolc`.  Each `_cmd_*` handler returns
 (exit code, JSON value, text), and `main` alone writes the JSON or the
@@ -18,7 +19,6 @@ import re
 import sys
 from typing import Sequence
 
-from .cech import cech_dims
 from .ideals import (
     MonomialIdeal,
     MultiDegree,
@@ -29,28 +29,16 @@ from .ideals import (
 from .linalg import FieldSpec
 from .polarization import polarize_ideal
 from .simplicial import SimplicialComplex
-from .takayama import (
-    LCTable,
-    box_table,
-    canonical_box,
-    depth_and_dim,
-    lc_table,
-    takayama_complex,
-)
+from .takayama import canonical_box, depth_and_dim, lc_table, takayama_complex
 from .verify import (
     CheckResult,
     VerificationReport,
+    oracle_table,
     random_ideal,
     verify_depth_shift,
     verify_main_theorem,
     verify_reduction_chain,
 )
-
-
-def oracle_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
-    """The table over the canonical box computed by the brute-force
-    route; mirrors lc_table entry for entry when both are correct."""
-    return box_table(ideal, field, cech_dims)
 
 
 def _load_ideal(path: str) -> MonomialIdeal:
@@ -187,7 +175,7 @@ def _cmd_fuzz(args) -> tuple[int, object, str]:
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
     field = FieldSpec.parse(args.field)
-    random_ideal(args.n, args.max_exp, args.gens, args.seed)  # shape check, even at --trials 0
+    random_ideal(args.n, args.max_exp, min(args.gens, 0), args.seed)  # shape only, no draw
     failures = 0
     reports = []
     for t in range(args.trials):

@@ -4,6 +4,7 @@ Each verify_* function sweeps exact dimension computations on both
 sides of an identity and reports mismatches as data instead of
 raising, so a sweep always completes and a report can drive CI.  Only
 bad input raises ValueError, the unit ideal (a zero quotient) included.
+`oracle_table` runs the Čech route over the box, to check `lc_table`.
 
 A reduction step is a tuple (name, ideal, degree, shift): the
 dimensions before it at index i must equal those of the step's ideal
@@ -19,11 +20,12 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Sequence
 
+from .cech import cech_dims
 from .ideals import Monomial, MonomialIdeal, MultiDegree, format_ideal, rho
 from .linalg import FieldSpec
 from .polarization import degree_map, partial_polarize, polarize_ideal, restrict
 from .simplicial import is_cone
-from .takayama import canonical_box, depth_and_dim, lc_dims, takayama_complex
+from .takayama import LCTable, box_table, canonical_box, depth_and_dim, lc_dims, takayama_complex
 
 Step = tuple[str, MonomialIdeal, MultiDegree, int]
 Dims = dict[int, int]  # cohomological index -> nonzero dimension, as lc_dims returns
@@ -287,3 +289,9 @@ def random_ideal(n: int, max_exp: int, max_gens: int, seed: int) -> MonomialIdea
         if any(exps):
             gens.append(Monomial(exps))
     return MonomialIdeal(names, tuple(gens))
+
+
+def oracle_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
+    """The table over the canonical box computed by the brute-force
+    route; mirrors lc_table entry for entry when both are correct."""
+    return box_table(ideal, field, cech_dims)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -386,6 +387,26 @@ class TestFuzz:
         code, out, err = run(capsys, "fuzz", "--trials", trials, *shape)
         assert (code, out) == (2, "")
         assert err == "error: need n >= 1, max_exp >= 1, max_gens >= 0\n"
+
+    def test_trials_0_checks_shape_without_drawing(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("an exponent was drawn")
+
+        monkeypatch.setattr(random.Random, "randint", no_draw)
+        argv = ("fuzz", "--trials", "0", "--n", "100000", "--gens", "100000")
+        assert run(capsys, *argv) == (0, "0 trials, 0 failures\n", "")
+
+    def test_each_trial_draws_once(self, capsys, monkeypatch):
+        draws = []
+        randint = random.Random.randint
+
+        def counted(rng, a, b):
+            draws.append((a, b))
+            return randint(rng, a, b)
+
+        monkeypatch.setattr(random.Random, "randint", counted)
+        assert run(capsys, *self.ARGS)[0] == 0
+        assert len(draws) == 3 * 3 * 2  # trials * gens * n
 
 
 class TestParserErrors:

@@ -56,3 +56,30 @@ def test_value_types_take_identity_from_dataclass():
                 found += [f"{path.name}:{node.lineno}: {cls.name}.{name}"
                           for name in names if name in by_hand]
     assert not found, found
+
+
+def test_library_takes_no_name_from_the_cli():
+    """cli.py is the command surface on top of the library.  Only
+    __main__.py takes a name from it; __init__.py binds the module, which
+    bench/ reads, and nothing else imports it.  Absolute imports are held
+    to the standard library above, so only relative ones can reach cli."""
+    found, bound = [], False
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__main__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [alias.name for alias in node.names]
+                if node.module == "cli":
+                    found.append(f"{where}: takes {names} from cli")
+                elif node.module is None and "cli" in names:
+                    if path.name != "__init__.py":
+                        found.append(f"{where}: imports cli")
+                    bound = True
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "cli":
+                    found.append(f"{where}: reads cli.{node.attr}")
+    assert bound, "__init__.py no longer binds monolc.cli"
+    assert not found, found

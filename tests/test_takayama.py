@@ -31,6 +31,7 @@ from conftest import corpus, edge_ideal, golden_ideal, many_generators
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
+VARS16 = [f"x{i}" for i in range(1, 17)]
 
 
 def deg(*entries):
@@ -483,6 +484,33 @@ class TestCellSweep:
             assert table == takayama.box_table(ideal, field, lc_dims)
             assert table.dims_at(deg(*degree)) == expected
             assert lc_dims(ideal, deg(*degree), field) == expected
+
+    @pytest.mark.parametrize(
+        "text, most",
+        [
+            # 2^16 cells, and every one but x1 = ... = x16 = -1 is void
+            ("vars " + " ".join(VARS16) + "\ngens " + ", ".join(VARS16), 1),
+            ("vars x y z\ngens x*z, y", 3),
+            ("vars x y z\ngens x*z, y*z", 5),
+            ("vars x y z\ngens z", 4),
+        ],
+        ids=["x1..x16", "xz,y", "xz,yz", "z"],
+    )
+    def test_pruning_skips_void_subtrees(self, monkeypatch, text, most):
+        """Without the closing test every cell would reach _dims: 2^16
+        for the first ideal, 8 for the others."""
+        dims, calls = takayama._dims, []
+
+        def counted(*args):
+            calls.append(args)
+            return dims(*args)
+
+        monkeypatch.setattr(takayama, "_dims", counted)
+        ideal = parse_ideal(text)
+        for sweep in (lc_table, depth_and_dim):
+            calls.clear()
+            sweep(ideal, F2)
+            assert 1 <= len(calls) <= most, sweep
 
     def test_index_outside_range_raises(self, monkeypatch):
         monkeypatch.setattr(takayama, "_dims", lambda n, wmask, blockers, field: {n + 1: 1})

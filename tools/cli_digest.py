@@ -4,9 +4,10 @@ trees print byte-identical output.
 Runs `monolc.cli.main` in-process on every non-unit ideal of the
 `corpus(200)` and `many_generators(40)` recipes of tests/conftest.py
 and on their polarizations, fed on stdin; `complex` at up to 8 evenly
-spaced degrees of each input's canonical box, and `fuzz` once per
-fixed shape.  It prints per command the sha256 of every (argv, input,
-stdout, stderr, exit code) it gave:
+spaced degrees of each input's canonical box, `fuzz` once per fixed
+shape, and `fuzz` at --trials 0 and 1 on a valid and a bad shape.  It
+prints per command the sha256 of every (argv, input, stdout, stderr,
+exit code) it gave:
 
     python3 tools/cli_digest.py > before.txt   # in one checkout
     python3 tools/cli_digest.py > after.txt    # in the other
@@ -49,6 +50,12 @@ FUZZ_SHAPES = (
     ["--n", "3", "--max-exp", "3", "--gens", "4", "--seed", "100"],
     ["--n", "4", "--max-exp", "2", "--gens", "6", "--seed", "200"],
 )
+# the shape check alone, on a valid and a bad shape, and the bad one at a trial
+FUZZ_CHECKS = (
+    ["--trials", "0", "--n", "5", "--max-exp", "4", "--gens", "7"],
+    ["--trials", "0", "--n", "0"],
+    ["--trials", "1", "--n", "0"],
+)
 
 
 def inputs() -> list[str]:
@@ -82,6 +89,12 @@ def runs(texts: list[str]) -> list[tuple[str, list[tuple[list[str], str]]]]:
             [(["fuzz", *shape, "--field", field, *fmt], "") for shape in FUZZ_SHAPES],
         )
         for field in FIELDS
+        for fmt in FORMATS
+    ] + [
+        (
+            " ".join(["fuzz", "--trials", "0|1", *fmt]),
+            [(["fuzz", *argv, *fmt], "") for argv in FUZZ_CHECKS],
+        )
         for fmt in FORMATS
     ]
     return per_input + complexes + fuzz
