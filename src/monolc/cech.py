@@ -7,11 +7,15 @@ minimal generators.  The surviving subsets form a complex of vector
 spaces with the usual alternating-sign inclusion maps, and its
 cohomology gives dim H^i_m(S/I)_a directly.
 
-Survivors are found level by level, not among all 2^n subsets.  Each
-contains the negative support of a, and dropping any other (free)
-position keeps it a survivor (the divisibility test only gets easier),
-so each survivor above the negative support is a survivor one level
-down plus a free position: the work follows the survivors, not 2^n.
+Survivors are bitmasks, found level by level, not among all 2^n
+subsets.  Each contains the negative support of a, and dropping any
+other (free) position keeps it a survivor (the divisibility test only
+gets easier), so each survivor above the negative support is a
+survivor one level down plus a free position, which only generators
+below a at that position can block: the work follows the survivors,
+not 2^n.  The strand keeps the masks, not vertex tuples.  Each
+coboundary is assembled once, checked against the next (d o d = 0
+over Z) and ranked by linalg.rank, over GF(2) by XOR on bitmasks.
 
 This path deliberately shares nothing with the simplicial route except
 the ideal types and the rank kernel, so agreement between the two is
@@ -64,15 +68,22 @@ def cech_piece_nonzero(ideal: MonomialIdeal, degree: MultiDegree, subset: Iterab
 @dataclass(frozen=True)
 class CechStrand:
     """The degree-a layer of the Cech complex: admissible subsets by
-    size, plus the alternating-sign differentials between levels."""
+    size, as masks in combinations order, plus the alternating-sign
+    differentials between levels."""
 
     n: int
-    basis: tuple[tuple[tuple[int, ...], ...], ...]
+    masks: tuple[tuple[int, ...], ...]
     differentials: tuple[SparseMatrix, ...]
+
+    @property
+    def basis(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The subsets as vertex tuples, decoded from the masks."""
+        return tuple(tuple(tuple(i + 1 for i in range(self.n) if F >> i & 1) for F in level)
+                     for level in self.masks)
 
     def level_dim(self, p: int) -> int:
         if 0 <= p <= self.n:
-            return len(self.basis[p])
+            return len(self.masks[p])
         return 0
 
 
@@ -80,55 +91,48 @@ def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
     n = ideal.n
     neg, below = _masks(ideal, degree)
     free = [1 << i for i in range(n) if not neg >> i & 1]  # as bits
+    # for a survivor F, only a generator whose below-mask holds b can block F | b
+    at_risk = [[g for g in below if g & b] for b in free]
     # Survivors are closed under dropping free positions (module docstring),
     # so extending each survivor only by free positions past the last one it
     # added reaches every survivor once, from itself minus its largest free
     # position; each level comes out in itertools.combinations order.
-    # Entries are (mask, vertex tuple, index into free of the next position).
-    levels: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n + 1)]
+    # Entries are (mask, index into free of the next position).
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     if _survives(neg, neg, below):
-        face = tuple(i + 1 for i in range(n) if neg >> i & 1)
-        levels[len(face)].append((neg, face, 0))
+        levels[neg.bit_count()].append((neg, 0))
     for level, above in zip(levels, levels[1:]):
-        for F, face, start in level:
-            for t, b in enumerate(free[start:], start + 1):
-                if _survives(F | b, neg, below):
-                    at = (F & (b - 1)).bit_count()  # vertices of F below the new one
-                    above.append((F | b, face[:at] + (b.bit_length(),) + face[at:], t))
-    diffs: list[SparseMatrix] = []
-    for p in range(n):
-        index_above = {F: r for r, (F, _, _) in enumerate(levels[p + 1])}
-        entries: dict[tuple[int, int], int] = {}
-        for c, (F, _, _) in enumerate(levels[p]):
-            for b in free:
-                # F | b is in the level above only when b is not in F
-                r = index_above.get(F | b)
-                if r is not None:
-                    # (-1)^(number of elements of F below the inserted one)
-                    entries[(r, c)] = -1 if (F & (b - 1)).bit_count() % 2 else 1
-        diffs.append(SparseMatrix(len(levels[p + 1]), len(levels[p]), entries))
-    basis = tuple(tuple(face for _, face, _ in level) for level in levels)
-    strand = CechStrand(n=n, basis=basis, differentials=tuple(diffs))
-    _assert_complex(strand)
-    return strand
+        for F, start in level:
+            for t in range(start, len(free)):
+                G = F | free[t]
+                if all(g & ~G for g in at_risk[t]):
+                    above.append((G, t + 1))
+    masks = tuple(tuple(F for F, _ in level) for level in levels)
+    # rows[p][r] holds the (column, entry) pairs of d_p at row r: each free
+    # b in G gives the survivor G - b (closure again), and G - b -> G has
+    # entry (-1)^(number of elements of G below b)
+    rows: list[list[list[tuple[int, int]]]] = []
+    for level, above in zip(masks, masks[1:]):
+        col = {F: c for c, F in enumerate(level)}
+        rows.append([[(col[G ^ b], -1 if (G & (b - 1)).bit_count() & 1 else 1)
+                      for b in free if G & b] for G in above])
+    _assert_complex(rows)
+    diffs = tuple(SparseMatrix._trusted(len(masks[p + 1]), len(masks[p]), {
+        (r, c): v for r, row in enumerate(d) for c, v in row}) for p, d in enumerate(rows))
+    return CechStrand(n=n, masks=masks, differentials=diffs)
 
 
-def _assert_complex(strand: CechStrand) -> None:
-    """Consecutive differentials must compose to zero over the integers."""
-    for p in range(len(strand.differentials) - 1):
-        lower = strand.differentials[p]
-        upper = strand.differentials[p + 1]
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in upper.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        acc: dict[tuple[int, int], int] = {}
-        for (mid, c), v1 in lower.entries.items():
-            for r, v2 in by_col.get(mid, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + v2 * v1
-        bad = {k: v for k, v in acc.items() if v != 0}
-        if bad:
-            raise AssertionError(f"differentials do not compose to zero: {bad}")
+def _assert_complex(rows: list[list[list[tuple[int, int]]]]) -> None:
+    """Consecutive differentials, as lists of (column, entry) rows, must
+    compose to zero over the integers, checked row by row."""
+    for p, (lower, upper) in enumerate(zip(rows, rows[1:])):
+        for r, row in enumerate(upper):
+            acc: dict[int, int] = {}
+            for mid, v2 in row:
+                for c, v1 in lower[mid]:
+                    acc[c] = acc.get(c, 0) + v2 * v1
+            if any(acc.values()):
+                raise AssertionError(f"d{p + 1} * d{p} is not zero in row {r}: {acc}")
 
 
 def cech_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict[int, int]:

@@ -2,11 +2,13 @@
 
 No floating point anywhere.  Entries first become integers, row by
 row: over Q each row's denominators are cleared, over GF(p) entries
-are reduced mod p.  One sparse elimination then serves both fields.
-It is fraction-free over Z, and over GF(p) it scales each pivot row
-so the pivot is 1, which leaves reduction mod p as the only modular
-step.  The pivot row is the shortest, taken from a heap of (length,
-row id); pivoting is deterministic, so repeated runs agree exactly.
+are reduced mod p.  Over GF(2) each row is then an int bitmask and
+elimination is XOR against the kept row with the same lowest bit.
+Over Q and odd p one sparse elimination serves both: it is
+fraction-free over Z, and over GF(p) it scales each pivot row so the
+pivot is 1, which leaves reduction mod p as the only modular step.
+The pivot row is the shortest, taken from a heap of (length, row id);
+pivoting is deterministic, so repeated runs agree exactly.
 """
 
 from __future__ import annotations
@@ -96,6 +98,13 @@ class SparseMatrix:
             if v != 0:
                 cleaned[(r, c)] = v
         self.entries = cleaned
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "SparseMatrix":
+        """Unchecked constructor: entries are nonzero ints inside rows x cols."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
 
     @classmethod
     def from_dense(cls, data: list) -> "SparseMatrix":
@@ -225,4 +234,16 @@ def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
     Rational entries are allowed for either field; over GF(p) a
     denominator divisible by p is an error.
     """
-    return _eliminate(_integer_rows(matrix, field.p), field.p)
+    rows = _integer_rows(matrix, field.p)
+    if field.p != 2:
+        return _eliminate(rows, field.p)
+    # each row (entries all 1) as an int mask, reduced against the kept
+    # row with the same lowest bit
+    kept: dict[int, int] = {}
+    for row in rows:
+        m = sum(1 << c for c in row)
+        while m and (low := m & -m) in kept:
+            m ^= kept[low]
+        if m:
+            kept[low] = m
+    return len(kept)

@@ -94,6 +94,9 @@ class TestStrand:
                             c for c in combinations(range(1, n + 1), p)
                             if cech_piece_nonzero(side, degree, c)
                         ), (side, degree, p)
+                        assert strand.masks[p] == tuple(
+                            sum(1 << (v - 1) for v in F) for F in strand.basis[p]
+                        ), (side, degree, p)
                     for p, d in enumerate(strand.differentials):
                         row = {F: r for r, F in enumerate(strand.basis[p + 1])}
                         expected = {}
@@ -117,6 +120,37 @@ class TestStrand:
                             if c2 == r1:
                                 prod[(r2, c1)] = prod.get((r2, c1), 0) + v2 * v1
                     assert all(v == 0 for v in prod.values())
+
+    def test_one_flipped_sign_fails_the_check(self):
+        """Every entry of every coboundary of k[a,b,c,d] in degree 0
+        meets a d o d product, so flipping any one sign is caught."""
+        strand = cech_strand(parse_ideal("vars a b c d\ngens"), deg(0, 0, 0, 0))
+        rows = [[[] for _ in range(d.rows)] for d in strand.differentials]
+        for p, d in enumerate(strand.differentials):
+            for (r, c), v in sorted(d.entries.items()):
+                rows[p][r].append((c, v))
+        monolc.cech._assert_complex(rows)
+        flips = 0
+        for d in rows:
+            for row in d:
+                for k, (c, v) in enumerate(row):
+                    row[k] = (c, -v)
+                    with pytest.raises(AssertionError, match="is not zero"):
+                        monolc.cech._assert_complex(rows)
+                    row[k] = (c, v)
+                    flips += 1
+        assert flips == 4 + 12 + 12 + 4
+
+    def test_check_runs_once_per_degree(self, monkeypatch):
+        calls = []
+        check = monolc.cech._assert_complex
+        monkeypatch.setattr(monolc.cech, "_assert_complex",
+                            lambda rows: calls.append(len(rows)) or check(rows))
+        ideal = parse_ideal("vars x y z\ngens x^2*y, y*z^2, x*z")
+        box = canonical_box(ideal)
+        for degree in box:
+            cech_dims(ideal, degree, F2)
+        assert len(box) == 18 and calls == [3] * len(box)
 
     def test_alternating_sums_match(self):
         for ideal in corpus(25):

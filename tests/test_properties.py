@@ -101,6 +101,7 @@ class TestRankInvariants:
     def test_transpose_and_bounds(self, matrix):
         r = rank(matrix, Q)
         assert r == rank(matrix.transpose(), Q)
+        assert rank(matrix, F2) == rank(matrix.transpose(), F2)
         assert 0 <= r <= min(matrix.rows, matrix.cols)
 
     @quiet
