@@ -9,11 +9,11 @@ from monolc import (
     FieldSpec,
     canonical_box,
     depth_and_dim,
+    format_complex,
     lc_table,
     parse_ideal,
     takayama_complex,
 )
-from monolc.cli import format_complex
 
 ideal = parse_ideal("vars x y\ngens x^2, x*y")
 field = FieldSpec.rationals()

@@ -24,6 +24,7 @@ from .linalg import FieldSpec, SparseMatrix, rank
 from .simplicial import (
     SimplicialComplex,
     euler_characteristic_reduced,
+    format_complex,
     is_cone,
     reduced_cohomology_dims,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "rank",
     "SimplicialComplex",
     "euler_characteristic_reduced",
+    "format_complex",
     "is_cone",
     "reduced_cohomology_dims",
     "DepthDim",

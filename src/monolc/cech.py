@@ -14,8 +14,10 @@ gets easier), so each survivor above the negative support is a
 survivor one level down plus a free position, which only generators
 below a at that position can block: the work follows the survivors,
 not 2^n.  The strand keeps the masks, not vertex tuples.  Each
-coboundary is assembled once, checked against the next (d o d = 0
-over Z) and ranked by linalg.rank, over GF(2) by XOR on bitmasks.
+coboundary is assembled once as rows of (column, entry) pairs, columns
+ascending, and checked against the next (d o d = 0 over Z); the
+SparseMatrix that linalg.rank ranks holds those checked rows
+themselves, not a copy.
 
 This path deliberately shares nothing with the simplicial route except
 the ideal types and the rank kernel, so agreement between the two is
@@ -110,15 +112,17 @@ def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
     masks = tuple(tuple(F for F, _ in level) for level in levels)
     # rows[p][r] holds the (column, entry) pairs of d_p at row r: each free
     # b in G gives the survivor G - b (closure again), and G - b -> G has
-    # entry (-1)^(number of elements of G below b)
+    # entry (-1)^(number of elements of G below b); dropping a higher b gives
+    # an earlier face in combinations order, so b runs high to low: columns ascend
+    high_to_low = free[::-1]
     rows: list[list[list[tuple[int, int]]]] = []
     for level, above in zip(masks, masks[1:]):
         col = {F: c for c, F in enumerate(level)}
         rows.append([[(col[G ^ b], -1 if (G & (b - 1)).bit_count() & 1 else 1)
-                      for b in free if G & b] for G in above])
+                      for b in high_to_low if G & b] for G in above])
     _assert_complex(rows)
-    diffs = tuple(SparseMatrix._trusted(len(masks[p + 1]), len(masks[p]), {
-        (r, c): v for r, row in enumerate(d) for c, v in row}) for p, d in enumerate(rows))
+    diffs = tuple(SparseMatrix._trusted(len(masks[p + 1]), len(masks[p]), d)
+                  for p, d in enumerate(rows))
     return CechStrand(n=n, masks=masks, differentials=diffs)
 
 
@@ -138,9 +142,7 @@ def _assert_complex(rows: list[list[list[tuple[int, int]]]]) -> None:
 def cech_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict[int, int]:
     """All nonzero cohomology dimensions of the degree-a strand."""
     strand = cech_strand(ideal, degree)
-    ranks = [
-        rank(d, field) if d.entries else 0 for d in strand.differentials
-    ]
+    ranks = [rank(d, field) if any(d.by_row) else 0 for d in strand.differentials]
     dims: dict[int, int] = {}
     for p in range(strand.n + 1):
         above = ranks[p] if p < strand.n else 0

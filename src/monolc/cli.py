@@ -28,7 +28,7 @@ from .ideals import (
 )
 from .linalg import FieldSpec
 from .polarization import polarize_ideal
-from .simplicial import SimplicialComplex
+from .simplicial import format_complex
 from .takayama import canonical_box, depth_and_dim, lc_table, takayama_complex
 from .verify import (
     CheckResult,
@@ -61,17 +61,6 @@ def _parse_degree(text: str, n: int) -> MultiDegree:
             f"degree has {len(entries)} entries but the ideal has {n} variables"
         )
     return MultiDegree(entries)
-
-
-def format_complex(cx: SimplicialComplex, names: Sequence[str]) -> str:
-    """Sorted facet list with original variable names; the complex with
-    no faces prints as "void" and the empty-face-only one as "{∅}"."""
-    if cx.is_void:
-        return "void"
-    rendered = []
-    for facet in cx.facets():
-        rendered.append(" ".join(names[v - 1] for v in facet) if facet else "∅")
-    return "{" + ", ".join(rendered) + "}"
 
 
 def _merge_checks(reports: Sequence[VerificationReport]) -> list[CheckResult]:

@@ -12,7 +12,7 @@ has no cohomology in any index, while {emptyset} has reduced H^{-1} = k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .linalg import FieldSpec, SparseMatrix, rank
 
@@ -112,6 +112,17 @@ class SimplicialComplex:
         return sorted(map(_vertices_of, maximal), key=lambda t: (len(t), t))
 
 
+def format_complex(cx: SimplicialComplex, names: Sequence[str]) -> str:
+    """Sorted facet list with original variable names; the complex with
+    no faces prints as "void" and the empty-face-only one as "{∅}"."""
+    if cx.is_void:
+        return "void"
+    rendered = []
+    for facet in cx.facets():
+        rendered.append(" ".join(names[v - 1] for v in facet) if facet else "∅")
+    return "{" + ", ".join(rendered) + "}"
+
+
 def is_cone(cx: SimplicialComplex, apex: int) -> bool:
     """Whether every face stays a face after adjoining the apex."""
     if cx.is_void:
@@ -137,20 +148,18 @@ def reduced_cohomology_dims(cx: SimplicialComplex, field: FieldSpec) -> dict[int
     levels: dict[int, list[int]] = {}
     for m in sorted(cx.masks):
         levels.setdefault(m.bit_count() - 1, []).append(m)
-    bits = [1 << i for i in range(cx.n_vertices)]
+    # the row of a face G of the level above: G - b -> G has entry
+    # (-1)^(number of elements of G below b), and taking b from high to
+    # low lists the columns (smaller masks first) in ascending order
+    high_to_low = [1 << i for i in reversed(range(cx.n_vertices))]
     ranks: dict[int, int] = {}
     for d in sorted(levels):
-        above = {m: r for r, m in enumerate(levels.get(d + 1, ()))}
-        if not above:
+        if d + 1 not in levels:
             continue
-        entries: dict[tuple[int, int], int] = {}
-        for j, mask in enumerate(levels[d]):
-            for b in bits:
-                # mask | b is in the level above only when b is not in mask
-                row = above.get(mask | b)
-                if row is not None:
-                    entries[(row, j)] = -1 if (mask & (b - 1)).bit_count() % 2 else 1
-        ranks[d] = rank(SparseMatrix(len(above), len(levels[d]), entries), field)
+        col = {m: c for c, m in enumerate(levels[d])}
+        rows = [[(col[G ^ b], -1 if (G & (b - 1)).bit_count() % 2 else 1)
+                 for b in high_to_low if G & b] for G in levels[d + 1]]
+        ranks[d] = rank(SparseMatrix._trusted(len(rows), len(col), rows), field)
     dims: dict[int, int] = {}
     for d, masks in levels.items():
         h = len(masks) - ranks.get(d, 0) - ranks.get(d - 1, 0)

@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import random
 from itertools import combinations
@@ -9,6 +10,7 @@ import monolc.cech
 from monolc import (
     FieldSpec,
     MultiDegree,
+    SparseMatrix,
     canonical_box,
     cech_cohomology_dim,
     cech_dims,
@@ -151,6 +153,47 @@ class TestStrand:
         for degree in box:
             cech_dims(ideal, degree, F2)
         assert len(box) == 18 and calls == [3] * len(box)
+
+    def test_rows_come_out_in_column_order(self):
+        """cech_strand hands its rows to SparseMatrix unchecked, so they
+        must already be what the validating constructor builds."""
+        for seed, ideal in enumerate(corpus(200)):
+            if ideal.is_unit:
+                continue
+            for side in (ideal, polarize_ideal(ideal).ideal):
+                box = canonical_box(side)
+                if side is not ideal and len(box) > 64:
+                    box = random.Random(seed).sample(box, 64)
+                for degree in box:
+                    for d in cech_strand(side, degree).differentials:
+                        assert d == SparseMatrix(d.rows, d.cols, d.entries), (side, degree)
+
+    def test_ranks_the_checked_rows(self, monkeypatch):
+        """Each ranked differential holds the very row lists that passed the
+        d o d check, unchanged since."""
+        checked, ranked = [], []
+        check, rank = monolc.cech._assert_complex, monolc.cech.rank
+
+        def record_check(rows):
+            checked.extend((d, copy.deepcopy(d)) for d in rows)
+            return check(rows)
+
+        monkeypatch.setattr(monolc.cech, "_assert_complex", record_check)
+        monkeypatch.setattr(monolc.cech, "rank",
+                            lambda d, field: ranked.append(d.by_row) or rank(d, field))
+        calls = 0
+        for ideal in corpus(25):
+            for degree in canonical_box(ideal):
+                for fld in (Q, F2):
+                    checked.clear()
+                    ranked.clear()
+                    cech_dims(ideal, degree, fld)
+                    assert len(ranked) == sum(any(d) for d, _ in checked)
+                    by_id = {id(d): snapshot for d, snapshot in checked}
+                    for rows in ranked:
+                        assert by_id[id(rows)] == rows, (ideal, degree)
+                    calls += len(ranked)
+        assert calls > 100
 
     def test_alternating_sums_match(self):
         for ideal in corpus(25):

@@ -142,6 +142,21 @@ class TestSparseMatrix:
         assert repr(mat) == "SparseMatrix(2x2, nnz=1)"
         assert SparseMatrix(rows=1, cols=1, entries={(0, 0): 2}).entries == {(0, 0): 2}
 
+    @pytest.mark.parametrize("shape", [(1.5, 2), (2, 1.5), (True, 2), (2, False), ("2", 2)])
+    def test_rejects_dimensions_that_are_not_ints(self, shape):
+        with pytest.raises(ValueError, match="^matrix dimensions"):
+            SparseMatrix(*shape)
+
+    @pytest.mark.parametrize("index", [(0.0, 0), (0, 1.0), (True, 0), (0, False), (Fraction(1), 0)])
+    def test_rejects_indices_that_are_not_ints(self, index):
+        with pytest.raises(ValueError, match="outside a 2x2 matrix"):
+            SparseMatrix(2, 2, {index: 1})
+
+    def test_stores_rows_in_column_order(self):
+        mat = SparseMatrix(3, 4, {(2, 3): 5, (0, 1): 0, (2, 0): Fraction(1, 2), (0, 2): -1})
+        assert mat.by_row == [[(2, -1)], [], [(0, Fraction(1, 2)), (3, 5)]]
+        assert mat.transpose().by_row == [[(2, Fraction(1, 2))], [], [(0, -1)], [(2, 5)]]
+
 
 class TestRank:
     def test_identity(self):

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import monolc.simplicial
 from monolc import (
     FieldSpec,
     SimplicialComplex,
+    SparseMatrix,
     euler_characteristic_reduced,
     is_cone,
     reduced_cohomology_dims,
@@ -141,6 +143,28 @@ class TestCohomology:
         small = SimplicialComplex.from_facets(2, [(1, 2)])
         padded = SimplicialComplex.from_facets(9, [(1, 2)])
         assert reduced_cohomology_dims(small, Q) == reduced_cohomology_dims(padded, Q)
+
+
+    def test_ranks_coboundaries_in_row_form(self, monkeypatch):
+        """Each ranked matrix is the coboundary from faces of dimension d
+        (columns, increasing masks) to d + 1 (rows), entry (-1)^#{u in F :
+        u < v} from F to F + {v}, with its rows already in column order."""
+        ranked = []
+        rank = monolc.simplicial.rank
+        monkeypatch.setattr(monolc.simplicial, "rank",
+                            lambda m, field: ranked.append(m) or rank(m, field))
+        cx = SimplicialComplex.from_facets(6, RP2_FACETS)
+        assert reduced_cohomology_dims(cx, F2) == {1: 1, 2: 1}
+        levels = [sorted(m for m in cx.masks if m.bit_count() == k) for k in range(4)]
+        assert len(ranked) == 3
+        for lower, upper, m in zip(levels, levels[1:], ranked):
+            expected = {}
+            for c, F in enumerate(lower):
+                for v in range(6):
+                    G = F | 1 << v
+                    if G != F and G in upper:
+                        expected[(upper.index(G), c)] = (-1) ** (F & (1 << v) - 1).bit_count()
+            assert m == SparseMatrix(len(upper), len(lower), expected)
 
 
 class TestCone:
