@@ -4,8 +4,9 @@ The primary route builds a simplicial complex per degree and takes its
 reduced cohomology.  The oracle route never sees a complex: it builds
 the degree strand of the Cech complex on all n variables directly from
 the generator exponents and ranks its differentials.  The routes share
-only the ideal types and the exact rank kernel, so exact agreement on
-random input is strong evidence for both.
+only the ideal types and linalg (the exact rank kernel and the coboundary
+assembly, which the tests check against its definition), so exact
+agreement on random input is strong evidence for both.
 """
 
 from monolc import FieldSpec, canonical_box, cech_dims, lc_dims, random_ideal

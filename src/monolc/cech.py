@@ -13,15 +13,12 @@ other (free) position keeps it a survivor (the divisibility test only
 gets easier), so each survivor above the negative support is a
 survivor one level down plus a free position, which only generators
 below a at that position can block: the work follows the survivors,
-not 2^n.  The strand keeps the masks, not vertex tuples.  Each
-coboundary is assembled once as rows of (column, entry) pairs, columns
-ascending, and checked against the next (d o d = 0 over Z); the
-SparseMatrix that linalg.rank ranks holds those checked rows
-themselves, not a copy.
+not 2^n.  The strand keeps the masks, not vertex tuples.
 
-This path deliberately shares nothing with the simplicial route except
-the ideal types and the rank kernel, so agreement between the two is
-meaningful evidence.
+This path shares nothing with the simplicial route except the ideal
+types and linalg: rank, and the coboundary assembly and cohomology count
+that tests hold to the definition.  Every strand is checked for d o d = 0
+over Z on the rows that get ranked, so the routes' agreement is evidence.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .ideals import MonomialIdeal, MultiDegree
-from .linalg import FieldSpec, SparseMatrix, rank
+from .linalg import FieldSpec, SparseMatrix, _coboundaries, _cohomology, rank
 
 
 def _masks(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, list[int]]:
@@ -110,19 +107,10 @@ def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
                 if all(g & ~G for g in at_risk[t]):
                     above.append((G, t + 1))
     masks = tuple(tuple(F for F, _ in level) for level in levels)
-    # rows[p][r] holds the (column, entry) pairs of d_p at row r: each free
-    # b in G gives the survivor G - b (closure again), and G - b -> G has
-    # entry (-1)^(number of elements of G below b); dropping a higher b gives
-    # an earlier face in combinations order, so b runs high to low: columns ascend
-    high_to_low = free[::-1]
-    rows: list[list[list[tuple[int, int]]]] = []
-    for level, above in zip(masks, masks[1:]):
-        col = {F: c for c, F in enumerate(level)}
-        rows.append([[(col[G ^ b], -1 if (G & (b - 1)).bit_count() & 1 else 1)
-                      for b in high_to_low if G & b] for G in above])
-    _assert_complex(rows)
-    diffs = tuple(SparseMatrix._trusted(len(masks[p + 1]), len(masks[p]), d)
-                  for p, d in enumerate(rows))
+    # each free b in G gives the survivor G - b (closure again); the
+    # negative support is never dropped
+    diffs = tuple(_coboundaries(masks, free[::-1]))
+    _assert_complex([d.by_row for d in diffs])
     return CechStrand(n=n, masks=masks, differentials=diffs)
 
 
@@ -143,14 +131,7 @@ def cech_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> di
     """All nonzero cohomology dimensions of the degree-a strand."""
     strand = cech_strand(ideal, degree)
     ranks = [rank(d, field) if any(d.by_row) else 0 for d in strand.differentials]
-    dims: dict[int, int] = {}
-    for p in range(strand.n + 1):
-        above = ranks[p] if p < strand.n else 0
-        below = ranks[p - 1] if p > 0 else 0
-        h = strand.level_dim(p) - above - below
-        if h:
-            dims[p] = h
-    return dims
+    return {p: h for p, h in enumerate(_cohomology(strand.masks, ranks)) if h}
 
 
 def cech_cohomology_dim(

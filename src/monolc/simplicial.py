@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import FieldSpec, SparseMatrix, rank
+from .linalg import FieldSpec, _coboundaries, _cohomology, rank
 
 
 def _mask_of(face: Iterable[int], n_vertices: int) -> int:
@@ -38,6 +38,8 @@ class SimplicialComplex:
     masks: frozenset[int]
 
     def __init__(self, n_vertices: int, faces: Iterable[Iterable[int]]) -> None:
+        if type(n_vertices) is not int:
+            raise ValueError(f"vertex count {n_vertices!r} is not an int")
         if n_vertices < 0:
             raise ValueError("negative vertex count")
         masks = frozenset(_mask_of(f, n_vertices) for f in faces)
@@ -144,25 +146,10 @@ def reduced_cohomology_dims(cx: SimplicialComplex, field: FieldSpec) -> dict[int
     Returns a map index -> dimension containing only nonzero entries;
     the void complex gives {} and {emptyset} gives {-1: 1}.
     """
-    # faces of dimension d, each level in increasing mask order
-    levels: dict[int, list[int]] = {}
+    # faces by size, each level in increasing mask order
+    levels: list[list[int]] = [[] for _ in range(cx.n_vertices + 1)]
     for m in sorted(cx.masks):
-        levels.setdefault(m.bit_count() - 1, []).append(m)
-    # the row of a face G of the level above: G - b -> G has entry
-    # (-1)^(number of elements of G below b), and taking b from high to
-    # low lists the columns (smaller masks first) in ascending order
-    high_to_low = [1 << i for i in reversed(range(cx.n_vertices))]
-    ranks: dict[int, int] = {}
-    for d in sorted(levels):
-        if d + 1 not in levels:
-            continue
-        col = {m: c for c, m in enumerate(levels[d])}
-        rows = [[(col[G ^ b], -1 if (G & (b - 1)).bit_count() % 2 else 1)
-                 for b in high_to_low if G & b] for G in levels[d + 1]]
-        ranks[d] = rank(SparseMatrix._trusted(len(rows), len(col), rows), field)
-    dims: dict[int, int] = {}
-    for d, masks in levels.items():
-        h = len(masks) - ranks.get(d, 0) - ranks.get(d - 1, 0)
-        if h:
-            dims[d] = h
-    return dims
+        levels[m.bit_count()].append(m)
+    diffs = _coboundaries(levels, [1 << i for i in reversed(range(cx.n_vertices))])
+    ranks = [rank(d, field) if any(d.by_row) else 0 for d in diffs]
+    return {p - 1: h for p, h in enumerate(_cohomology(levels, ranks)) if h}

@@ -233,8 +233,9 @@ class TestCohomologyDim:
 
 class TestIndependence:
     def test_no_simplicial_machinery_imported(self):
-        """The oracle must share only the ideal types and the rank
-        kernel with the primary route."""
+        """The oracle must share only the ideal types and linalg (rank,
+        and the coboundary kernel that test_linalg holds to the
+        definition) with the primary route."""
         tree = ast.parse(inspect.getsource(monolc.cech))
         modules = set()
         for node in ast.walk(tree):

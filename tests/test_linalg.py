@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from monolc import FieldSpec, SparseMatrix, rank
+from monolc.linalg import _coboundaries, _cohomology
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -279,3 +280,77 @@ class TestRank:
         # Hilbert-like matrix entries force large intermediate integers
         data = [[Fraction(1, r + c + 1) for c in range(6)] for r in range(6)]
         assert rank(SparseMatrix.from_dense(data), Q) == 6
+
+
+def random_family(rng, n, fixed):
+    """Random masks within bits 0..n-1, each holding `fixed`, closed under
+    dropping any bit outside `fixed` (a Cech strand's shape; a simplicial
+    complex when fixed is 0)."""
+    family = set()
+    for _ in range(rng.randint(0, 4)):
+        top = fixed | sum(1 << i for i in range(n) if rng.randrange(5) < 3)
+        sub = top & ~fixed
+        while True:
+            family.add(fixed | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top & ~fixed
+    return family
+
+
+def reference_coboundary(lower, upper, n, droppable):
+    """From the definition: F = G - {v} -> G has entry (-1)^#{u in G : u < v}."""
+    entries = {}
+    for r, G in enumerate(upper):
+        for v in range(n):
+            if G >> v & 1 and droppable >> v & 1:
+                below = sum(G >> u & 1 for u in range(v))
+                entries[(r, lower.index(G & ~(1 << v)))] = (-1) ** below
+    return SparseMatrix(len(upper), len(lower), entries)
+
+
+class TestCoboundaryKernel:
+    """The coboundary assembly and cohomology count both routes share,
+    against the definition and a dense rank count."""
+
+    def cases(self):
+        """Levels in increasing-mask and in combinations order; every other
+        family keeps some fixed bits that are never dropped, as a Cech
+        strand keeps the negative support.  Yields the levels, the bits
+        to drop (high to low) and the reference coboundaries."""
+        rng = random.Random(18)
+        for trial in range(80):
+            n = rng.randint(1, 5)
+            fixed = 0 if trial % 2 else sum(1 << i for i in range(n) if rng.randrange(4) == 0)
+            family = random_family(rng, n, fixed)
+            droppable = (1 << n) - 1 & ~fixed
+            bits = [1 << i for i in reversed(range(n)) if droppable >> i & 1]
+            for order in (lambda F: F, lambda F: [i for i in range(n) if F >> i & 1]):
+                levels = [[] for _ in range(n + 1)]
+                for F in sorted(family, key=order):
+                    levels[F.bit_count()].append(F)
+                yield levels, bits, [reference_coboundary(lower, upper, n, droppable)
+                                     for lower, upper in zip(levels, levels[1:])]
+
+    def test_matches_the_definition(self):
+        multi_entry_rows = fixed_bits = 0
+        for levels, bits, refs in self.cases():
+            diffs = _coboundaries(levels, bits)
+            assert diffs == refs
+            multi_entry_rows += sum(len(row) > 1 for d in diffs for row in d.by_row)
+            fixed_bits += len(bits) < len(diffs) and any(levels)
+        assert multi_entry_rows > 100 and fixed_bits > 10
+
+    def test_cohomology_matches_a_dense_rank_count(self):
+        for levels, bits, refs in self.cases():
+            for field, p in ((Q, None), (F2, 2)):
+                dense = [dense_rank_oracle([[d.entries.get((r, c), 0) for c in range(d.cols)]
+                                            for r in range(d.rows)], p) for d in refs]
+                expected = []
+                for q, level in enumerate(levels):
+                    kernel = len(level) - (dense[q] if q < len(dense) else 0)
+                    expected.append(kernel - (dense[q - 1] if q else 0))
+                ranks = [rank(d, field) for d in _coboundaries(levels, bits)]
+                assert _cohomology(levels, ranks) == expected
+                assert sum((-1) ** q * h for q, h in enumerate(expected)) == sum(
+                    (-1) ** q * len(level) for q, level in enumerate(levels))

@@ -47,9 +47,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimplicialComplex.from_facets(2, [(0,)])
 
-    def test_negative_vertex_count(self):
-        with pytest.raises(ValueError, match="^negative vertex count$"):
-            SimplicialComplex(-1, [])
+    @pytest.mark.parametrize("n, faces, message", [
+        (-1, [], "^negative vertex count$"),
+        (2.5, [], "^vertex count 2.5 is not an int$"),
+        ("3", [], "^vertex count '3' is not an int$"),
+        (True, [[1]], "^vertex count True is not an int$"),
+    ], ids=["negative", "float", "str", "bool"])
+    def test_negative_vertex_count(self, n, faces, message):
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex(n, faces)
 
     def test_from_facets_closure(self):
         cx = SimplicialComplex.from_facets(3, [(1, 2, 3)])
@@ -144,6 +150,19 @@ class TestCohomology:
         padded = SimplicialComplex.from_facets(9, [(1, 2)])
         assert reduced_cohomology_dims(small, Q) == reduced_cohomology_dims(padded, Q)
 
+    @pytest.mark.parametrize("cx, calls", [
+        (SimplicialComplex.void(3), 0),
+        (SimplicialComplex.irrelevant(3), 0),
+        (hollow_triangle(), 2),
+        (SimplicialComplex.from_facets(3, [(1, 2, 3)]), 3),
+    ], ids=["void", "empty_face", "hollow_triangle", "simplex"])
+    def test_ranks_only_maps_between_nonempty_levels(self, cx, calls, monkeypatch):
+        ranked = []
+        rank = monolc.simplicial.rank
+        monkeypatch.setattr(monolc.simplicial, "rank",
+                            lambda m, field: ranked.append(m) or rank(m, field))
+        reduced_cohomology_dims(cx, Q)
+        assert len(ranked) == calls
 
     def test_ranks_coboundaries_in_row_form(self, monkeypatch):
         """Each ranked matrix is the coboundary from faces of dimension d

@@ -83,3 +83,18 @@ def test_library_takes_no_name_from_the_cli():
                     found.append(f"{where}: reads cli.{node.attr}")
     assert bound, "__init__.py no longer binds monolc.cli"
     assert not found, found
+
+
+def test_only_the_coboundary_kernel_builds_unchecked_matrices():
+    """SparseMatrix._trusted skips validation, so only the code that
+    guarantees the rows' column order, linalg._coboundaries, reaches it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = [(n.lineno, n.end_lineno, n.name) for n in ast.walk(tree)
+                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+                inner = [name for lo, hi, name in scopes if lo <= node.lineno <= hi]
+                found.append(f"{path.name}:{inner[-1] if inner else '<module>'}")
+    assert found == ["linalg.py:_coboundaries"], found
