@@ -3,14 +3,16 @@
 No floating point anywhere.  A SparseMatrix stores its rows, each a
 list of (column, value) pairs with columns ascending, and rank reads
 them as they are.  Each row first becomes integers: over Q its
-denominators are cleared, over GF(p) entries are reduced mod p.  Over
-GF(2) each row is then an int bitmask and elimination is XOR against
-the kept row with the same lowest bit.
-Over Q and odd p one sparse elimination serves both: it is
-fraction-free over Z, and over GF(p) it scales each pivot row so the
-pivot is 1, which leaves reduction mod p as the only modular step.
-The pivot row is the shortest, taken from a heap of (length, row id);
-pivoting is deterministic, so repeated runs agree exactly.
+denominators are cleared, over GF(p) entries are reduced mod p.  Every
+field follows one rule: each row in turn is reduced against the kept
+row with the same last column until that column is new, then kept
+under it, and the rank is the number of rows kept.  Every matrix the
+library ranks is a coboundary, and the last column is the standard
+pivot for those (Chen-Kerber's twist, Ripser).  Over GF(2) rows are
+int bitmasks and reduction is XOR.  Over Q and odd p one reduction
+serves both: it is fraction-free over Z, and over GF(p) each kept row
+is scaled so its pivot is 1, which leaves reduction mod p as the only
+modular step.
 
 Both cohomology routes (simplicial and Cech) assemble coboundaries with
 _coboundaries and count dimensions with _cohomology; tests hold both to
@@ -19,7 +21,6 @@ the definition, and every Cech strand is checked for d o d = 0.
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -190,11 +191,7 @@ def _integer_rows(matrix: SparseMatrix, p: int | None) -> list[dict[int, int]]:
 
 
 def _strip_gcd(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return
+    g = math.gcd(*row.values())
     if g > 1:
         for c in row:
             row[c] //= g
@@ -202,63 +199,34 @@ def _strip_gcd(row: dict[int, int]) -> None:
 
 def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
     """Rank of integer rows over Q (p is None) or GF(p); consumes rows."""
-    active = {i: r for i, r in enumerate(rows) if r}
-    col_users: dict[int, set[int]] = {}
-    for rid, row in active.items():
-        for c in row:
-            col_users.setdefault(c, set()).add(rid)
-    # shortest row first keeps fill-in down; ties break by row id
-    queue = [(len(row), rid) for rid, row in active.items()]
-    heapq.heapify(queue)
-    rank = 0
-    while active:
-        length, prid = heapq.heappop(queue)
-        if len(active.get(prid, ())) != length:
-            continue  # stale: the row changed (and was pushed again) or is gone
-        prow = active.pop(prid)
-        for c in prow:
-            col_users[c].discard(prid)
-        pcol = min(prow, key=lambda c: (abs(prow[c]) != 1, len(col_users[c]), c))
-        pval = prow[pcol]
-        if p is not None and pval != 1:
-            # a unit pivot keeps the fraction-free steps below out of GF(p)
-            inv = pow(pval, -1, p)
-            for c in prow:
-                prow[c] = prow[c] * inv % p
-            pval = 1
-        rank += 1
-        for rid in sorted(col_users[pcol]):
-            row = active[rid]
-            f = row.pop(pcol)
-            col_users[pcol].discard(rid)
-            if pval == 1 or pval == -1:
-                scale_row, scale_piv = 1, f * pval
-            else:
-                g = math.gcd(f, pval)
-                scale_row, scale_piv = pval // g, f // g
+    kept: dict[int, dict[int, int]] = {}  # by last column
+    for row in rows:
+        while row and (last := max(row)) in kept:
+            prow = kept[last]
+            f, pval = row[last], prow[last]
+            # row := scale_row * row - scale_piv * prow clears column last
+            g = math.gcd(f, pval)
+            scale_row, scale_piv = abs(pval) // g, (f if pval > 0 else -f) // g
             if scale_row != 1:
                 for c in row:
                     row[c] *= scale_row
             for c, v in prow.items():
-                if c == pcol:
-                    continue
                 cur = row.get(c, 0) - scale_piv * v
                 if p is not None:
                     cur %= p
                 if cur:
-                    if c not in row:
-                        col_users.setdefault(c, set()).add(rid)
                     row[c] = cur
                 elif c in row:
                     del row[c]
-                    col_users[c].discard(rid)
             if scale_row != 1:
                 _strip_gcd(row)
-            if row:
-                heapq.heappush(queue, (len(row), rid))
-            else:
-                del active[rid]
-    return rank
+        if row:
+            if p is not None and (pval := row[last]) != 1:
+                # a unit pivot keeps the fraction-free steps above out of GF(p)
+                inv = pow(pval, -1, p)
+                row = {c: v * inv % p for c, v in row.items()}
+            kept[last] = row
+    return len(kept)
 
 
 def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
@@ -271,12 +239,12 @@ def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
     if field.p != 2:
         return _eliminate(rows, field.p)
     # each row (entries all 1) as an int mask, reduced against the kept
-    # row with the same lowest bit
+    # row with the same last column, as _eliminate does
     kept: dict[int, int] = {}
     for row in rows:
         m = sum(1 << c for c in row)
-        while m and (low := m & -m) in kept:
-            m ^= kept[low]
+        while (last := m.bit_length()) in kept:
+            m ^= kept[last]
         if m:
-            kept[low] = m
+            kept[last] = m
     return len(kept)

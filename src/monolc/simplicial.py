@@ -26,6 +26,13 @@ def _mask_of(face: Iterable[int], n_vertices: int) -> int:
     return mask
 
 
+def _check_vertex_count(n_vertices: int) -> None:
+    if type(n_vertices) is not int:
+        raise ValueError(f"vertex count {n_vertices!r} is not an int")
+    if n_vertices < 0:
+        raise ValueError("negative vertex count")
+
+
 def _vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -38,10 +45,7 @@ class SimplicialComplex:
     masks: frozenset[int]
 
     def __init__(self, n_vertices: int, faces: Iterable[Iterable[int]]) -> None:
-        if type(n_vertices) is not int:
-            raise ValueError(f"vertex count {n_vertices!r} is not an int")
-        if n_vertices < 0:
-            raise ValueError("negative vertex count")
+        _check_vertex_count(n_vertices)
         masks = frozenset(_mask_of(f, n_vertices) for f in faces)
         # closed under removing one vertex, hence holding the empty face
         bits = [1 << i for i in range(n_vertices)]
@@ -65,16 +69,17 @@ class SimplicialComplex:
 
     @classmethod
     def void(cls, n_vertices: int) -> "SimplicialComplex":
-        return cls._from_masks(n_vertices, frozenset())
+        return cls(n_vertices, ())
 
     @classmethod
     def irrelevant(cls, n_vertices: int) -> "SimplicialComplex":
-        return cls._from_masks(n_vertices, frozenset((0,)))
+        return cls(n_vertices, [()])
 
     @classmethod
     def from_facets(
         cls, n_vertices: int, facets: Iterable[Iterable[int]]
     ) -> "SimplicialComplex":
+        _check_vertex_count(n_vertices)
         faces = {0}
         for facet in facets:
             top = _mask_of(facet, n_vertices)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -232,9 +233,9 @@ class TestRank:
                 )
 
     def test_pivot_queue_on_larger_sparse_matrices(self):
-        """Sizes where elimination changes rows many times, so the pivot
-        queue holds stale entries; half the cases are products of thin
-        factors, hence rank-deficient."""
+        """Sizes where each row is reduced many times and fills in; half
+        the cases are products of thin factors, hence rank-deficient, so
+        many rows reduce to zero."""
         rng = random.Random(41)
 
         def sparse(nr, nc, density):
@@ -260,6 +261,17 @@ class TestRank:
             mat = SparseMatrix.from_dense(data)
             for p in (None, 2, 32003, 2147483629):
                 assert rank(mat, FieldSpec(p)) == dense_rank_oracle(data, p), (case, p)
+
+    @pytest.mark.parametrize("field", [Q, F2, BIGP, FieldSpec.gf(2147483629)], ids=str)
+    def test_full_simplex_coboundaries(self, field):
+        """The full simplex on n vertices is acyclic, so the coboundary out
+        of the faces of size k has rank C(n-1, k)."""
+        for n in range(1, 11):
+            levels = [[] for _ in range(n + 1)]
+            for m in range(1 << n):
+                levels[m.bit_count()].append(m)
+            diffs = _coboundaries(levels, [1 << i for i in reversed(range(n))])
+            assert [rank(d, field) for d in diffs] == [comb(n - 1, k) for k in range(n)], n
 
     def test_q_agrees_with_large_prime_on_small_sign_matrices(self):
         rng = random.Random(23)

@@ -56,6 +56,11 @@ class TestConstruction:
     def test_negative_vertex_count(self, n, faces, message):
         with pytest.raises(ValueError, match=message):
             SimplicialComplex(n, faces)
+        # the classmethods make the constructor's check before any face
+        for build in (SimplicialComplex.void, SimplicialComplex.irrelevant,
+                      lambda n: SimplicialComplex.from_facets(n, [[1]])):
+            with pytest.raises(ValueError, match=message):
+                build(n)
 
     def test_from_facets_closure(self):
         cx = SimplicialComplex.from_facets(3, [(1, 2, 3)])
