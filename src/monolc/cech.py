@@ -35,16 +35,14 @@ def _masks(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, list[int]]:
     and per generator of the coordinates where a is below its exponent."""
     if degree.n != ideal.n:
         raise ValueError("degree length does not match variable count")
-    neg = sum(1 << i for i, e in enumerate(degree.entries) if e < 0)
-    below = [
-        sum(1 << i for i, (e, g) in enumerate(zip(degree.entries, m.exponents)) if e < g)
-        for m in ideal.gens
-    ]
+    bits, a = [1 << i for i in range(ideal.n)], degree.entries
+    neg = sum([b for b, e in zip(bits, a) if e < 0])
+    below = [sum([b for b, e, g in zip(bits, a, m.exponents) if e < g]) for m in ideal.gens]
     return neg, below
 
 
 def _survives(F: int, neg: int, below: list[int]) -> bool:
-    return not neg & ~F and all(b & ~F for b in below)
+    return not neg & ~F and all(map((~F).__and__, below))
 
 
 def cech_piece_nonzero(ideal: MonomialIdeal, degree: MultiDegree, subset: Iterable[int]) -> bool:
@@ -90,23 +88,26 @@ def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
     n = ideal.n
     neg, below = _masks(ideal, degree)
     free = [1 << i for i in range(n) if not neg >> i & 1]  # as bits
-    # for a survivor F, only a generator whose below-mask holds b can block F | b
-    at_risk = [[g for g in below if g & b] for b in free]
     # Survivors are closed under dropping free positions (module docstring),
     # so extending each survivor only by free positions past the last one it
     # added reaches every survivor once, from itself minus its largest free
     # position; each level comes out in itertools.combinations order.
     # Entries are (mask, index into free of the next position).
     levels: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    if _survives(neg, neg, below):
+    if _survives(neg, neg, below):  # else the strand is empty
         levels[neg.bit_count()].append((neg, 0))
+        # for a survivor F, only a generator whose below-mask holds b can block F | b
+        at_risk = [[g for g in below if g & b] for b in free]
     for level, above in zip(levels, levels[1:]):
         for F, start in level:
             for t in range(start, len(free)):
                 G = F | free[t]
-                if all(g & ~G for g in at_risk[t]):
+                for g in at_risk[t]:
+                    if not g & ~G:  # g divides x^(a + N e_G)
+                        break
+                else:
                     above.append((G, t + 1))
-    masks = tuple(tuple(F for F, _ in level) for level in levels)
+    masks = tuple([tuple([F for F, _ in level]) for level in levels])
     # each free b in G gives the survivor G - b (closure again); the
     # negative support is never dropped
     diffs = tuple(_coboundaries(masks, free[::-1]))

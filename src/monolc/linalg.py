@@ -2,21 +2,22 @@
 
 No floating point anywhere.  A SparseMatrix stores its rows, each a
 list of (column, value) pairs with columns ascending, and rank reads
-them as they are.  Each row first becomes integers: over Q its
-denominators are cleared, over GF(p) entries are reduced mod p.  Every
-field follows one rule: each row in turn is reduced against the kept
-row with the same last column until that column is new, then kept
-under it, and the rank is the number of rows kept.  Every matrix the
-library ranks is a coboundary, and the last column is the standard
-pivot for those (Chen-Kerber's twist, Ripser).  Over GF(2) rows are
-int bitmasks and reduction is XOR.  Over Q and odd p one reduction
-serves both: it is fraction-free over Z, and over GF(p) each kept row
-is scaled so its pivot is 1, which leaves reduction mod p as the only
-modular step.
+them as they are.  Every field follows one rule: each row in turn is
+reduced against the kept row with the same last column until that
+column is new, then kept under it, and the rank is the number of rows
+kept.  Every matrix the library ranks is a coboundary, and the last
+column is the standard pivot for those (Chen-Kerber's twist, Ripser).
+Over GF(2) each row is read in one pass into an int bitmask, one bit
+per odd entry, and reduction is XOR.  Over Q and odd p each row first
+becomes integers (over Q its denominators are cleared, over GF(p) its
+entries are reduced mod p) and one reduction serves both: it is
+fraction-free over Z, and over GF(p) each kept row is scaled so its
+pivot is 1, which leaves reduction mod p as the only modular step.
 
 Both cohomology routes (simplicial and Cech) assemble coboundaries with
-_coboundaries and count dimensions with _cohomology; tests hold both to
-the definition, and every Cech strand is checked for d o d = 0.
+_coboundaries, each row walking only the set bits of its face, and
+count dimensions with _cohomology; tests hold both to the definition,
+and every Cech strand is checked for d o d = 0.
 """
 
 from __future__ import annotations
@@ -150,12 +151,22 @@ def _coboundaries(levels: list[list[int]], bits: list[int]) -> list[SparseMatrix
     row of G holds, for each b in bits with G & b, entry (-1)^(number of
     bits of G below b) at the column of G - b, a face of the level below.
     Dropping a higher bit must give an earlier face (increasing masks and
-    combinations order do) and bits run high to low, so columns ascend."""
+    combinations order do) and bits run high to low, so columns ascend.
+    A row walks only the set bits of G among the bits (low to high, then
+    reversed), and a level with nothing above it gets no column index."""
+    drop = sum(bits)
     diffs = []
     for level, above in zip(levels, levels[1:]):
-        col = {F: c for c, F in enumerate(level)}
-        rows = [[(col[G ^ b], -1 if (G & (b - 1)).bit_count() & 1 else 1)
-                 for b in bits if G & b] for G in above]
+        col = {F: c for c, F in enumerate(level)} if above else {}
+        rows = []
+        for G in above:
+            row, m = [], G & drop
+            while m:
+                b = m & -m
+                m ^= b
+                row.append((col[G ^ b], -1 if (G & (b - 1)).bit_count() & 1 else 1))
+            row.reverse()
+            rows.append(row)
         diffs.append(SparseMatrix._trusted(len(above), len(level), rows))
     return diffs
 
@@ -170,7 +181,8 @@ def _integer_rows(matrix: SparseMatrix, p: int | None) -> list[dict[int, int]]:
     """The rows as {column: nonzero integer}.
 
     Over Q each row is scaled by the lcm of its denominators; over
-    GF(p) each entry is reduced into [0, p).
+    GF(p) each entry is reduced into [0, p), and only a Fraction goes
+    through its denominator.
     """
     rows = []
     for row in matrix.by_row:
@@ -180,12 +192,14 @@ def _integer_rows(matrix: SparseMatrix, p: int | None) -> list[dict[int, int]]:
             continue
         ints = {}
         for c, v in row:
-            d = v.denominator
-            if d % p == 0:
-                raise ValueError(f"denominator of {v} vanishes mod {p}")
-            iv = (v.numerator if d == 1 else v.numerator * pow(d, -1, p)) % p
-            if iv:
-                ints[c] = iv
+            if type(v) is not int:
+                d = v.denominator
+                if d % p == 0:
+                    raise ValueError(f"denominator of {v} vanishes mod {p}")
+                v = v.numerator * pow(d, -1, p)
+            v %= p
+            if v:
+                ints[c] = v
         rows.append(ints)
     return rows
 
@@ -235,14 +249,18 @@ def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
     Rational entries are allowed for either field; over GF(p) a
     denominator divisible by p is an error.
     """
-    rows = _integer_rows(matrix, field.p)
     if field.p != 2:
-        return _eliminate(rows, field.p)
-    # each row (entries all 1) as an int mask, reduced against the kept
-    # row with the same last column, as _eliminate does
+        return _eliminate(_integer_rows(matrix, field.p), field.p)
+    # each row as an int mask, one bit per odd entry (an odd denominator keeps
+    # a numerator's parity), reduced against the kept row with the same last column
     kept: dict[int, int] = {}
-    for row in rows:
-        m = sum(1 << c for c in row)
+    for row in matrix.by_row:
+        m = 0
+        for c, v in row:
+            if not v.denominator & 1:
+                raise ValueError(f"denominator of {v} vanishes mod 2")
+            if v.numerator & 1:
+                m |= 1 << c
         while (last := m.bit_length()) in kept:
             m ^= kept[last]
         if m:

@@ -293,6 +293,45 @@ class TestRank:
         data = [[Fraction(1, r + c + 1) for c in range(6)] for r in range(6)]
         assert rank(SparseMatrix.from_dense(data), Q) == 6
 
+    def test_fractions_with_denominators_prime_to_p(self):
+        """Fraction entries, even numerators among them, against the dense
+        oracle on their residues num * den^-1 mod p."""
+        rng = random.Random(20)
+        drops = 0
+        for p in (2, 3):
+            for _ in range(60):
+                nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+                data = [[Fraction(rng.randint(-4, 4), rng.choice((1, 5, 7, 35)))
+                         for _ in range(nc)] for _ in range(nr)]
+                residues = [[v.numerator * pow(v.denominator, -1, p) % p for v in row]
+                            for row in data]
+                mat = SparseMatrix.from_dense(data)
+                expected = dense_rank_oracle(residues, p)
+                assert rank(mat, FieldSpec.gf(p)) == expected, (p, data)
+                drops += expected < rank(mat, Q)
+        assert drops > 10
+
+    def test_negative_int_entries(self):
+        twos = SparseMatrix.from_dense([[-1, -2], [-3, -4]])
+        assert (rank(twos, Q), rank(twos, F2), rank(twos, FieldSpec.gf(3))) == (2, 1, 2)
+        rng = random.Random(21)
+        for p in (2, 3, 32003):
+            for _ in range(30):
+                nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+                data = [[-rng.randint(0, 6) for _ in range(nc)] for _ in range(nr)]
+                assert rank(SparseMatrix.from_dense(data), FieldSpec.gf(p)) == dense_rank_oracle(
+                    data, p), (p, data)
+
+    @pytest.mark.parametrize("p, data", [
+        (2, [[1, 1, Fraction(1, 2)]]),
+        (2, [[1, 0, 0], [0, -1, Fraction(3, 4)]]),
+        (2, [[Fraction(1, 3), 2, Fraction(5, 6)]]),
+        (3, [[1, 2, 0], [Fraction(1, 5), 1, Fraction(2, 3)]]),
+    ])
+    def test_denominator_divisible_by_p_late_in_a_row(self, p, data):
+        with pytest.raises(ValueError, match=f"vanishes mod {p}"):
+            rank(SparseMatrix.from_dense(data), FieldSpec.gf(p))
+
 
 def random_family(rng, n, fixed):
     """Random masks within bits 0..n-1, each holding `fixed`, closed under
