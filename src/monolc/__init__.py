@@ -11,11 +11,9 @@ from .ideals import (
     MonomialIdeal,
     MultiDegree,
     ParseError,
-    divides,
     format_ideal,
     format_monomial,
     minimalize,
-    negative_support,
     parse_ideal,
     rho,
     rho_total,
@@ -44,7 +42,6 @@ from .polarization import (
     depolarize_check,
     partial_polarize,
     polarize_ideal,
-    polarize_monomial,
     restrict,
 )
 from .cech import (
@@ -75,11 +72,9 @@ __all__ = [
     "MonomialIdeal",
     "MultiDegree",
     "ParseError",
-    "divides",
     "format_ideal",
     "format_monomial",
     "minimalize",
-    "negative_support",
     "parse_ideal",
     "rho",
     "rho_total",
@@ -104,7 +99,6 @@ __all__ = [
     "depolarize_check",
     "partial_polarize",
     "polarize_ideal",
-    "polarize_monomial",
     "restrict",
     "CechStrand",
     "cech_cohomology_dim",

@@ -78,11 +78,6 @@ class CechStrand:
         return tuple(tuple(tuple(i + 1 for i in range(self.n) if F >> i & 1) for F in level)
                      for level in self.masks)
 
-    def level_dim(self, p: int) -> int:
-        if 0 <= p <= self.n:
-            return len(self.masks[p])
-        return 0
-
 
 def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
     n = ideal.n

@@ -40,26 +40,13 @@ class Monomial:
         return len(self.exponents)
 
     @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    @property
-    def support(self) -> frozenset[int]:
-        """Indices (1-based) of variables that appear."""
-        return frozenset(i + 1 for i, e in enumerate(self.exponents) if e > 0)
 
     def divides(self, other: "Monomial") -> bool:
         if self.n != other.n:
             raise ValueError("monomials live in different rings")
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-
-def divides(m: Monomial, other: Monomial) -> bool:
-    return m.divides(other)
 
 
 def _canonical_key(m: Monomial) -> tuple:
@@ -135,10 +122,6 @@ class MonomialIdeal:
         return len(self.var_names)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
-    @property
     def is_unit(self) -> bool:
         return any(m.is_unit for m in self.gens)
 
@@ -171,22 +154,10 @@ class MultiDegree:
     def n(self) -> int:
         return len(self.entries)
 
-    def negative_support(self) -> frozenset[int]:
-        """Indices (1-based) with a strictly negative entry."""
-        return frozenset(i + 1 for i, e in enumerate(self.entries) if e < 0)
-
-    def truncated(self) -> "MultiDegree":
-        """Replace every negative entry by -1."""
-        return MultiDegree(tuple(e if e >= 0 else -1 for e in self.entries))
-
     def leq(self, bound: Sequence[int]) -> bool:
         if len(bound) != self.n:
             raise ValueError("length mismatch")
         return all(e <= b for e, b in zip(self.entries, bound))
-
-
-def negative_support(degree: MultiDegree) -> frozenset[int]:
-    return degree.negative_support()
 
 
 # ---------------------------------------------------------------------------

@@ -137,11 +137,6 @@ class SparseMatrix:
                     entries[(r, c)] = v
         return cls(rows, cols, entries)
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={sum(map(len, self.by_row))})"
 

@@ -35,18 +35,6 @@ def polarized_var_names(rho_vec: Sequence[int]) -> tuple[str, ...]:
     )
 
 
-def polarize_monomial(m: Monomial, rho_vec: Sequence[int]) -> Monomial:
-    """Square-free image of m: exponent 1 on (i, j) for j <= the i-th
-    exponent of m, inside blocks of width rho_i."""
-    vec = _check_rho(rho_vec, m.n)
-    out: list[int] = []
-    for e, r in zip(m.exponents, vec):
-        if e > r:
-            raise ValueError(f"exponent {e} exceeds block width {r}")
-        out.extend([1] * e + [0] * (r - e))
-    return Monomial(tuple(out))
-
-
 @dataclass(frozen=True)
 class PolarizedIdeal:
     """A fully polarized ideal plus the bookkeeping to map back."""
@@ -84,11 +72,17 @@ class PolarizedIdeal:
 
 
 def polarize_ideal(ideal: MonomialIdeal) -> PolarizedIdeal:
-    """Polarize every minimal generator with block widths rho(I)."""
+    """Polarize every minimal generator with block widths rho(I): its
+    image has exponent 1 on (i, j) for j <= its i-th exponent."""
     rho_vec = rho(ideal)
     names = polarized_var_names(rho_vec)
-    gens = tuple(polarize_monomial(m, rho_vec) for m in ideal.gens)
-    out = MonomialIdeal(names, gens)
+    gens = []
+    for m in ideal.gens:
+        exps: list[int] = []
+        for e, r in zip(m.exponents, rho_vec):
+            exps.extend([1] * e + [0] * (r - e))
+        gens.append(Monomial(tuple(exps)))
+    out = MonomialIdeal(names, tuple(gens))
     # a minimal system stays minimal under polarization
     if len(out.gens) != len(ideal.gens):
         raise AssertionError("polarization changed the number of minimal generators")
@@ -132,6 +126,9 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
     j = t+2..e, carrying the excess.  The copies j = t+2..rho_i are
     appended after the original variables.
     """
+    for arg in (var_index, threshold):
+        if not isinstance(arg, int) or isinstance(arg, bool):
+            raise ValueError(f"variable index and threshold must be integers, got {arg!r}")
     if not 1 <= var_index <= ideal.n:
         raise ValueError(f"variable index {var_index} outside 1..{ideal.n}")
     r = rho(ideal)[var_index - 1]

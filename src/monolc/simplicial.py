@@ -100,18 +100,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.masks
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        try:
-            return _mask_of(face, self.n_vertices) in self.masks
-        except ValueError:
-            return False
-
-    def dimension(self) -> int:
-        """Max face cardinality minus one; the void complex has none."""
-        if self.is_void:
-            raise ValueError("the void complex has no dimension")
-        return max(m.bit_count() for m in self.masks) - 1
-
     def facets(self) -> list[tuple[int, ...]]:
         """Maximal faces, each sorted, ordered by (size, lex)."""
         bits = [1 << i for i in range(self.n_vertices)]

@@ -156,12 +156,6 @@ class LCTable:
         )
         object.__setattr__(self, "entries", ordered)
 
-    def dims_at(self, degree: MultiDegree) -> dict[int, int]:
-        return {i: d for deg, i, d in self.entries if deg == degree}
-
-    def nonzero_indices(self) -> set[int]:
-        return {i for _, i, _ in self.entries}
-
     def to_json_dict(self) -> dict:
         return {
             "vars": list(self.ideal.var_names),
@@ -190,14 +184,14 @@ def _check(dims: dict[int, int], n: int, degree: tuple) -> None:
             raise AssertionError(f"cohomology index {i} outside 0..{n} at degree {degree}")
 
 
-def box_table(ideal: MonomialIdeal, field: FieldSpec, dims_at: Callable) -> LCTable:
-    """Sweep the canonical box with dims_at(ideal, degree, field), a map
+def box_table(ideal: MonomialIdeal, field: FieldSpec, dims_of: Callable) -> LCTable:
+    """Sweep the canonical box with dims_of(ideal, degree, field), a map
     index -> dimension of the nonzero pieces, and record every one."""
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
     entries = []
     for degree in canonical_box(ideal):
-        if dims := dims_at(ideal, degree, field):
+        if dims := dims_of(ideal, degree, field):
             _check(dims, ideal.n, degree.entries)
             entries.extend((degree, i, d) for i, d in dims.items())
     return LCTable(ideal, field, tuple(entries))

@@ -279,6 +279,9 @@ def random_ideal(n: int, max_exp: int, max_gens: int, seed: int) -> MonomialIdea
     drops all-zero draws, and minimalizes, so the result has at most
     max_gens generators and may be the zero ideal.
     """
+    for arg in (n, max_exp, max_gens):
+        if not isinstance(arg, int) or isinstance(arg, bool):
+            raise ValueError(f"n, max_exp and max_gens must be integers, got {arg!r}")
     if n < 1 or max_exp < 1 or max_gens < 0:
         raise ValueError("need n >= 1, max_exp >= 1, max_gens >= 0")
     rng = random.Random(seed)

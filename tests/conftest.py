@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from monolc import MonomialIdeal, parse_ideal, random_ideal
+from monolc import MonomialIdeal, SparseMatrix, parse_ideal, random_ideal
 
 
 def corpus(count: int) -> list[MonomialIdeal]:
@@ -29,6 +29,10 @@ def many_generators(count: int) -> list[MonomialIdeal]:
         gens = r.randint(5, 9)
         out.append(random_ideal(n, max_exp, gens, seed=20_000 + 7919 * s))
     return out
+
+
+def transposed(mat: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(mat.cols, mat.rows, {(c, r): v for (r, c), v in mat.entries.items()})
 
 
 def golden_ideal() -> MonomialIdeal:

@@ -65,13 +65,8 @@ class TestConstruction:
     def test_from_facets_closure(self):
         cx = SimplicialComplex.from_facets(3, [(1, 2, 3)])
         assert len(cx.faces) == 8
-        assert cx.has_face((1, 3))
-        assert cx.has_face(())
-
-    def test_has_face_out_of_range(self):
-        cx = hollow_triangle()
-        assert not cx.has_face((4,))
-        assert not cx.has_face((0, 1))
+        assert 0b101 in cx.masks
+        assert 0 in cx.masks
 
     def test_facets_canonical(self):
         cx = SimplicialComplex.from_facets(4, [(3, 1), (2,), (1, 3)])
@@ -91,12 +86,6 @@ class TestConstruction:
         assert repr(hollow_triangle()) == "SimplicialComplex(n=3, faces=7)"
         with pytest.raises(AttributeError):
             hollow_triangle().masks = frozenset()
-
-    def test_dimension(self):
-        assert hollow_triangle().dimension() == 1
-        assert SimplicialComplex.irrelevant(1).dimension() == -1
-        with pytest.raises(ValueError):
-            SimplicialComplex.void(1).dimension()
 
     @pytest.mark.parametrize(
         "cx",

@@ -2,10 +2,14 @@
 standard library; this walks the package source and holds it to that."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "monolc"
+import monolc
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "monolc"
 
 
 def test_stdlib_only_and_no_floating_point():
@@ -98,3 +102,11 @@ def test_only_the_coboundary_kernel_builds_unchecked_matrices():
                 inner = [name for lo, hi, name in scopes if lo <= node.lineno <= hi]
                 found.append(f"{path.name}:{inner[-1] if inner else '<module>'}")
     assert found == ["linalg.py:_coboundaries"], found
+
+
+def test_readme_names_every_export():
+    """README's API reference lists each name in monolc.__all__, so a
+    name cannot join the public surface without being documented."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in monolc.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert not missing, missing

@@ -230,7 +230,7 @@ class TestRandomIdeal:
                 assert sum(1 for h in ideal.gens if h.divides(g)) == 1
 
     def test_zero_gens(self):
-        assert random_ideal(2, 3, 0, seed=1).is_zero
+        assert random_ideal(2, 3, 0, seed=1).gens == ()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -239,6 +239,13 @@ class TestRandomIdeal:
             random_ideal(1, 0, 1, seed=0)
         with pytest.raises(ValueError):
             random_ideal(1, 1, -1, seed=0)
+
+    @pytest.mark.parametrize("args", [(True, 2, 2), (2.5, 2, 2), (2, 2.0, 2), (2, 2, False)],
+                             ids=["bool-n", "float-n", "float-max_exp", "bool-max_gens"])
+    def test_rejects_arguments_that_are_not_ints(self, args):
+        """A bool n used to build a one-variable ideal, a float one a TypeError."""
+        with pytest.raises(ValueError, match="must be integers"):
+            random_ideal(*args, seed=0)
 
 
 class TestReportShape:
