@@ -57,8 +57,8 @@ def cech_piece_nonzero(ideal: MonomialIdeal, degree: MultiDegree, subset: Iterab
     F = set(subset)
     n = ideal.n
     for i in F:
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} outside 1..{n}")
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"index {i!r} is not an int in 1..{n}")
     return _survives(sum(1 << (i - 1) for i in F), *_masks(ideal, degree))
 
 
@@ -134,6 +134,8 @@ def cech_cohomology_dim(
     ideal: MonomialIdeal, degree: MultiDegree, index: int, field: FieldSpec
 ) -> int:
     """dim_k H^i_m(S/I)_a computed without any simplicial machinery."""
+    if type(index) is not int:
+        raise ValueError(f"cohomological index {index!r} is not an int")
     if index < 0:
         raise ValueError("cohomological index must be non-negative")
     return cech_dims(ideal, degree, field).get(index, 0)

@@ -35,6 +35,13 @@ class Monomial:
                 raise ValueError(f"exponents must be non-negative integers, got {e!r}")
         object.__setattr__(self, "exponents", exps)
 
+    @classmethod
+    def _trusted(cls, exponents: tuple[int, ...]) -> "Monomial":
+        """Unchecked: exponents is a tuple of non-negative ints."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exponents", exponents)
+        return m
+
     @property
     def n(self) -> int:
         return len(self.exponents)
@@ -112,10 +119,15 @@ class MonomialIdeal:
         gens = tuple(minimalize(self.gens))
         if gens and gens[0].n != len(names):  # minimalize checked they share a ring
             raise ValueError("generator does not match variable count")
-        object.__setattr__(self, "var_names", names)
-        object.__setattr__(self, "gens", gens)
-        columns = zip([1] * len(names), *(m.exponents for m in gens))
-        object.__setattr__(self, "_rho", tuple(map(max, columns)))
+        vars(self).update(vars(MonomialIdeal._trusted(names, gens)))
+
+    @classmethod
+    def _trusted(cls, var_names: tuple[str, ...], gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """Unchecked: distinct valid names; gens minimal, in canonical order, in that ring."""
+        ideal = object.__new__(cls)
+        columns = zip([1] * len(var_names), *(m.exponents for m in gens))
+        vars(ideal).update(var_names=var_names, gens=gens, _rho=tuple(map(max, columns)))
+        return ideal
 
     @property
     def n(self) -> int:
@@ -149,6 +161,13 @@ class MultiDegree:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise ValueError(f"degree entries must be integers, got {e!r}")
         object.__setattr__(self, "entries", ents)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "MultiDegree":
+        """Unchecked: entries is a tuple of ints."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "entries", entries)
+        return a
 
     @property
     def n(self) -> int:

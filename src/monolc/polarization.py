@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ideals import Monomial, MonomialIdeal, MultiDegree, minimalize, rho
+from .ideals import Monomial, MonomialIdeal, MultiDegree, _canonical_key, minimalize, rho
 
 
 def _check_rho(rho_vec: Sequence[int], n: int) -> tuple[int, ...]:
@@ -102,7 +102,7 @@ def degree_map(degree: MultiDegree, rho_vec: Sequence[int]) -> MultiDegree:
             raise ValueError(f"degree entry {a} not below block width {r}")
         zeros = a + 1 if a >= 0 else 0
         out.extend([0] * zeros + [-1] * (r - zeros))
-    return MultiDegree(tuple(out))
+    return MultiDegree._trusted(tuple(out))
 
 
 def restrict(ideal: MonomialIdeal, keep: Iterable[int]) -> MonomialIdeal:
@@ -113,9 +113,9 @@ def restrict(ideal: MonomialIdeal, keep: Iterable[int]) -> MonomialIdeal:
             raise ValueError(f"kept index {i!r} outside 1..{ideal.n}")
     names = tuple(ideal.var_names[i - 1] for i in kept)
     gens = tuple(
-        Monomial(tuple(m.exponents[i - 1] for i in kept)) for m in ideal.gens
+        Monomial._trusted(tuple(m.exponents[i - 1] for i in kept)) for m in ideal.gens
     )
-    return MonomialIdeal(names, gens)
+    return MonomialIdeal._trusted(names, tuple(minimalize(gens)))
 
 
 def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> MonomialIdeal:
@@ -124,7 +124,9 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
     Exponent e of the chosen variable stays put when e <= t+1 and
     otherwise is capped at t+1 with distinct copy variables x_i_j,
     j = t+2..e, carrying the excess.  The copies j = t+2..rho_i are
-    appended after the original variables.
+    appended after the original variables.  Capping one variable is an
+    order embedding on exponents, so the generators stay minimal and
+    distinct and only need sorting back into canonical order.
     """
     for arg in (var_index, threshold):
         if not isinstance(arg, int) or isinstance(arg, bool):
@@ -135,9 +137,9 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
     if not 0 <= threshold < r - 1:
         raise ValueError(f"threshold {threshold} outside 0..{r - 2}")
     tail = r - threshold - 1
-    names = ideal.var_names + tuple(
-        f"x_{var_index}_{j}" for j in range(threshold + 2, r + 1)
-    )
+    names = ideal.var_names + tuple(f"x_{var_index}_{j}" for j in range(threshold + 2, r + 1))
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
     gens = []
     for m in ideal.gens:
         e = m.exponents[var_index - 1]
@@ -146,8 +148,8 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
             exps[var_index - 1] = threshold + 1
             for j in range(threshold + 2, e + 1):
                 exps[ideal.n + (j - threshold - 2)] = 1
-        gens.append(Monomial(tuple(exps)))
-    return MonomialIdeal(names, tuple(gens))
+        gens.append(Monomial._trusted(tuple(exps)))
+    return MonomialIdeal._trusted(names, tuple(sorted(gens, key=_canonical_key)))
 
 
 def depolarize_check(polarized: PolarizedIdeal, ideal: MonomialIdeal) -> bool:

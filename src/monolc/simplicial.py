@@ -20,8 +20,8 @@ from .linalg import FieldSpec, _coboundaries, _cohomology, rank
 def _mask_of(face: Iterable[int], n_vertices: int) -> int:
     mask = 0
     for v in face:
-        if not 1 <= v <= n_vertices:
-            raise ValueError(f"vertex {v} outside 1..{n_vertices}")
+        if type(v) is not int or not 1 <= v <= n_vertices:
+            raise ValueError(f"vertex {v!r} is not an int in 1..{n_vertices}")
         mask |= 1 << (v - 1)
     return mask
 
@@ -122,8 +122,8 @@ def is_cone(cx: SimplicialComplex, apex: int) -> bool:
     """Whether every face stays a face after adjoining the apex."""
     if cx.is_void:
         raise ValueError("the void complex is not a cone over anything")
-    if not 1 <= apex <= cx.n_vertices:
-        raise ValueError(f"vertex {apex} outside 1..{cx.n_vertices}")
+    if type(apex) is not int or not 1 <= apex <= cx.n_vertices:
+        raise ValueError(f"vertex {apex!r} is not an int in 1..{cx.n_vertices}")
     bit = 1 << (apex - 1)
     return all((m | bit) in cx.masks for m in cx.masks)
 

@@ -118,6 +118,8 @@ def _dims(n: int, wmask: int, blockers: list[int], field: FieldSpec) -> dict[int
 
 def lc_dim(ideal: MonomialIdeal, degree: MultiDegree, index: int, field: FieldSpec) -> int:
     """dim_k of the degree-a piece of H^i_m(S/I)."""
+    if type(index) is not int:
+        raise ValueError(f"cohomological index {index!r} is not an int")
     if index < 0:
         raise ValueError("cohomological index must be non-negative")
     return lc_dims(ideal, degree, field).get(index, 0)
@@ -129,7 +131,7 @@ def canonical_box(ideal: MonomialIdeal) -> list[MultiDegree]:
     Every degree with some a_i outside this window either repeats a
     boxed value (after truncating negatives to -1) or vanishes."""
     ranges = [range(-1, r) for r in rho(ideal)]
-    return [MultiDegree(t) for t in itertools.product(*ranges)]
+    return [MultiDegree._trusted(t) for t in itertools.product(*ranges)]
 
 
 @dataclass(frozen=True)
@@ -245,7 +247,7 @@ def lc_table(ideal: MonomialIdeal, field: FieldSpec) -> LCTable:
     entries = []
     for runs, dims in _cells(ideal, field):
         for point in itertools.product(*runs):
-            degree = MultiDegree(point)
+            degree = MultiDegree._trusted(point)
             entries.extend((degree, i, d) for i, d in dims.items())
     return LCTable(ideal, field, tuple(entries))
 

@@ -146,7 +146,7 @@ def _boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[MonomialIdeal, tu
     if not degree.leq(top):
         raise ValueError(f"degree {degree.entries} exceeds rho - 1 = {top}")
     if any(v.startswith("x_") for v in ideal.var_names):
-        ideal = MonomialIdeal(tuple(f"x{i}" for i in range(1, ideal.n + 1)), ideal.gens)
+        ideal = MonomialIdeal._trusted(tuple(f"x{i}" for i in range(1, ideal.n + 1)), ideal.gens)
     return ideal, bounds
 
 
@@ -160,7 +160,7 @@ def _step2_data(ideal: MonomialIdeal, degree: MultiDegree) -> Step:
     """Drop the variables at negative coordinates: indices shift down
     by their count."""
     keep = [j for j in range(1, ideal.n + 1) if degree.entries[j - 1] >= 0]
-    sub = MultiDegree(tuple(degree.entries[j - 1] for j in keep))
+    sub = MultiDegree._trusted(tuple(degree.entries[j - 1] for j in keep))
     return "step2_restriction", restrict(ideal, keep), sub, len(keep) - ideal.n
 
 
@@ -169,7 +169,7 @@ def _step3_data(ideal: MonomialIdeal, degree: MultiDegree, j: int, name: str) ->
     appended copies, which sit at degree -1."""
     capped = partial_polarize(ideal, j, degree.entries[j - 1])
     tail = capped.n - ideal.n
-    return name, capped, MultiDegree(degree.entries + (-1,) * tail), tail
+    return name, capped, MultiDegree._trusted(degree.entries + (-1,) * tail), tail
 
 
 def _take(

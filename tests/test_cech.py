@@ -55,6 +55,12 @@ class TestPieceNonzero:
         with pytest.raises(ValueError):
             cech_piece_nonzero(golden_ideal(), deg(0,), set())
 
+    @pytest.mark.parametrize("i", [2.0, True, "1"], ids=["float", "bool", "str"])
+    def test_rejects_an_index_that_is_not_an_int(self, i):
+        """2.0 would otherwise fail in a shift with TypeError, True pass as index 1."""
+        with pytest.raises(ValueError, match=f"^index {i!r} is not an int in 1..2$"):
+            cech_piece_nonzero(golden_ideal(), deg(0, -1), {i})
+
 
 class TestStrand:
     def test_golden_strand_shape(self):

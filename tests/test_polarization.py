@@ -1,18 +1,23 @@
+import copy
+import pickle
+
 import pytest
 
 from monolc import (
     Monomial,
     MonomialIdeal,
     MultiDegree,
+    canonical_box,
     degree_map,
     depolarize_check,
+    format_ideal,
     parse_ideal,
     partial_polarize,
     polarize_ideal,
     restrict,
     rho,
 )
-from conftest import corpus, golden_ideal
+from conftest import corpus, golden_ideal, many_generators
 
 
 def m(*exps):
@@ -138,6 +143,15 @@ class TestRestrict:
         zero = restrict(parse_ideal("vars x y\ngens"), set())
         assert zero.n == 0 and zero.gens == ()
 
+    def test_drops_a_generator_the_restriction_makes_redundant(self):
+        """Dropping z turns x*z into x, which divides x^3 (from x^3*y):
+        the result is minimalized, and its rho follows the kept generator."""
+        ideal = parse_ideal("vars x y z\ngens x^3*y, x*z")
+        for keep, gens, bounds in [({1}, [m(1)], (1,)), ({1, 2}, [m(1, 0)], (1, 1))]:
+            out = restrict(ideal, keep)
+            assert list(out.gens) == gens and rho(out) == bounds
+            assert out == MonomialIdeal(out.var_names, out.gens)
+
 
 class TestPartialPolarize:
     def test_cube(self):
@@ -178,9 +192,28 @@ class TestPartialPolarize:
                     assert len(out.gens) == len(ideal.gens)
 
     def test_name_collision_raises(self):
-        ideal = MonomialIdeal(("x", "x_1_2"), (m(3, 0),))
-        with pytest.raises(ValueError):
-            partial_polarize(ideal, 1, 0)
+        """The copies of x^3 at threshold 0 are x_1_2 and x_1_3."""
+        for names in [("x", "x_1_2"), ("x", "x_1_3"), ("x", "y", "x_1_3")]:
+            ideal = MonomialIdeal(names, (Monomial((3,) + (0,) * (len(names) - 1)),))
+            with pytest.raises(ValueError, match="^duplicate variable names$"):
+                partial_polarize(ideal, 1, 0)
+
+    def test_matches_the_validating_constructor(self):
+        """partial_polarize skips minimalize and only sorts; the public
+        constructor, which minimalizes, must agree on every step."""
+        steps = 0
+        for ideal in corpus(200) + many_generators(40):
+            if ideal.is_unit:
+                continue
+            for j, r in enumerate(rho(ideal), start=1):
+                for t in range(r - 1):
+                    out = partial_polarize(ideal, j, t)
+                    ref = MonomialIdeal(out.var_names, out.gens)
+                    assert out.gens == ref.gens, (format_ideal(ideal), j, t)
+                    assert rho(out) == rho(ref)
+                    assert out == ref and hash(out) == hash(ref)
+                    steps += 1
+        assert steps > 100
 
 
 class TestDepolarizeCheck:
@@ -251,3 +284,28 @@ class TestCompatibility:
                     assert got == self._support_sets(polarize_ideal(ideal))
                     checked += 1
         assert checked > 20
+
+
+class TestLibraryBuiltValues:
+    """Degrees, monomials and ideals that the library builds without the
+    public constructors' checks behave like constructor-built ones."""
+
+    @staticmethod
+    def built():
+        ideal = parse_ideal("vars x y z\ngens x^3*y, y^2*z, x*z^2")
+        capped = partial_polarize(ideal, 1, 0)
+        return [
+            (capped, MonomialIdeal(capped.var_names, capped.gens)),
+            (capped.gens[0], Monomial(capped.gens[0].exponents)),
+            (restrict(ideal, {1, 3}), parse_ideal("vars x z\ngens x^3, z")),
+            (degree_map(deg(1, -1, 0), rho(ideal)), deg(0, 0, -1, -1, -1, 0, -1)),
+            (canonical_box(ideal)[-1], deg(2, 1, 1)),
+        ]
+
+    def test_equal_to_constructor_built_values_through_copy_and_pickle(self):
+        for value, ref in self.built():
+            for twin in (value, copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert twin == ref and hash(twin) == hash(ref) and repr(twin) == repr(ref)
+                if isinstance(value, MonomialIdeal):
+                    assert rho(twin) == rho(ref)

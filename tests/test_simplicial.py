@@ -47,6 +47,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimplicialComplex.from_facets(2, [(0,)])
 
+    @pytest.mark.parametrize("v", [1.0, True, "1"], ids=["float", "bool", "str"])
+    def test_rejects_a_vertex_that_is_not_an_int(self, v):
+        """1.0 would otherwise fail in a shift with TypeError, True pass as vertex 1."""
+        message = f"^vertex {v!r} is not an int in 1..2$"
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex(2, [(), (v,)])
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex.from_facets(2, [(v, 2)])
+        with pytest.raises(ValueError, match=message):
+            is_cone(SimplicialComplex.from_facets(2, [(1, 2)]), v)
+
     @pytest.mark.parametrize("n, faces, message", [
         (-1, [], "^negative vertex count$"),
         (2.5, [], "^vertex count 2.5 is not an int$"),

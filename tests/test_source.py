@@ -89,9 +89,9 @@ def test_library_takes_no_name_from_the_cli():
     assert not found, found
 
 
-def test_only_the_coboundary_kernel_builds_unchecked_matrices():
-    """SparseMatrix._trusted skips validation, so only the code that
-    guarantees the rows' column order, linalg._coboundaries, reaches it."""
+def _trusted_uses() -> list[tuple[str, str]]:
+    """Each reference to an attribute named _trusted in the package, as
+    (file:enclosing function, the expression it is read from)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -100,8 +100,43 @@ def test_only_the_coboundary_kernel_builds_unchecked_matrices():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "_trusted":
                 inner = [name for lo, hi, name in scopes if lo <= node.lineno <= hi]
-                found.append(f"{path.name}:{inner[-1] if inner else '<module>'}")
-    assert found == ["linalg.py:_coboundaries"], found
+                where = f"{path.name}:{inner[-1] if inner else '<module>'}"
+                found.append((where, ast.unparse(node.value)))
+    return found
+
+
+def test_only_the_coboundary_kernel_builds_unchecked_matrices():
+    """SparseMatrix._trusted skips validation, so only the code that
+    guarantees the rows' column order, linalg._coboundaries, reaches it.
+    Every other _trusted is read off an ideals value type by name, so no
+    alias can hide a SparseMatrix among them."""
+    uses = _trusted_uses()
+    matrices = [where for where, owner in uses if owner == "SparseMatrix"]
+    assert matrices == ["linalg.py:_coboundaries"], uses
+    owners = {owner for _, owner in uses}
+    assert owners <= {"SparseMatrix", "Monomial", "MultiDegree", "MonomialIdeal"}, uses
+
+
+def test_only_library_built_values_skip_validation():
+    """Monomial, MultiDegree and MonomialIdeal._trusted skip the public
+    constructors' checks (and an ideal's minimalize), so each use is
+    listed here: each builds from parts that were checked already, and a
+    new one has to be added on purpose."""
+    uses = sorted(f"{where}:{owner}" for where, owner in _trusted_uses()
+                  if owner != "SparseMatrix")
+    assert uses == [
+        "ideals.py:__post_init__:MonomialIdeal",  # after the constructor's own checks
+        "polarization.py:degree_map:MultiDegree",
+        "polarization.py:partial_polarize:Monomial",
+        "polarization.py:partial_polarize:MonomialIdeal",
+        "polarization.py:restrict:Monomial",
+        "polarization.py:restrict:MonomialIdeal",
+        "takayama.py:canonical_box:MultiDegree",
+        "takayama.py:lc_table:MultiDegree",
+        "verify.py:_boxed:MonomialIdeal",
+        "verify.py:_step2_data:MultiDegree",
+        "verify.py:_step3_data:MultiDegree",
+    ], uses
 
 
 def test_readme_names_every_export():

@@ -348,6 +348,15 @@ class TestLcDim:
             with pytest.raises(ValueError, match="^cohomological index must be non-negative$"):
                 dim(golden_ideal(), deg(0, 0), -1, Q)
 
+    @pytest.mark.parametrize("dim", [lc_dim, cech_cohomology_dim])
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, False, "1"],
+                             ids=["1.5", "1.0", "True", "False", "str"])
+    def test_rejects_an_index_that_is_not_an_int(self, dim, index):
+        """Neither 1.5 nor True may pass for an index: 1.5 would read as a
+        missing index (0), True as index 1."""
+        with pytest.raises(ValueError, match="^cohomological index .* is not an int$"):
+            dim(golden_ideal(), deg(0, -1), index, Q)
+
     def test_dims_map_matches_pointwise(self):
         ideal = parse_ideal("vars x y\ngens x*y")
         for a in canonical_box(ideal):
