@@ -7,18 +7,18 @@ minimal generators.  The surviving subsets form a complex of vector
 spaces with the usual alternating-sign inclusion maps, and its
 cohomology gives dim H^i_m(S/I)_a directly.
 
-Survivors are bitmasks, found level by level, not among all 2^n
-subsets.  Each contains the negative support of a, and dropping any
-other (free) position keeps it a survivor (the divisibility test only
-gets easier), so each survivor above the negative support is a
-survivor one level down plus a free position, which only generators
-below a at that position can block: the work follows the survivors,
-not 2^n.  The strand keeps the masks, not vertex tuples.
+Survivors are bitmasks, grown level by level from the negative support
+of a, which each contains.  Dropping any other (free) position keeps a
+survivor (the divisibility test only gets easier), so each survivor
+above it is a survivor one level down plus a free position, which only
+generators below a at that position can block: the work follows the
+survivors, not 2^n.  The strand holds only its nonempty levels, from
+|neg| up to the first empty one, and the coboundaries between them.
 
 This path shares nothing with the simplicial route except the ideal
 types and linalg: rank, and the coboundary assembly and cohomology count
-that tests hold to the definition.  Every strand is checked for d o d = 0
-over Z on the rows that get ranked, so the routes' agreement is evidence.
+that tests hold to the definition.  Every held coboundary is checked for
+d o d = 0 over Z and then ranked, so the routes' agreement is evidence.
 """
 
 from __future__ import annotations
@@ -64,13 +64,29 @@ def cech_piece_nonzero(ideal: MonomialIdeal, degree: MultiDegree, subset: Iterab
 
 @dataclass(frozen=True)
 class CechStrand:
-    """The degree-a layer of the Cech complex: admissible subsets by
-    size, as masks in combinations order, plus the alternating-sign
-    differentials between levels."""
+    """The degree-a layer of the Cech complex from its first nonempty level
+    to its last: levels[k] holds the admissible subsets of size low + k, as
+    masks in combinations order, and coboundaries[k] the alternating-sign map
+    from levels[k] to levels[k + 1].  Every other level is empty, and masks,
+    differentials and basis show all n + 1 levels."""
 
     n: int
-    masks: tuple[tuple[int, ...], ...]
-    differentials: tuple[SparseMatrix, ...]
+    low: int
+    levels: tuple[tuple[int, ...], ...]
+    coboundaries: tuple[SparseMatrix, ...]
+
+    @property
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """The masks of every level by size, the ones not held as ()."""
+        return ((),) * self.low + self.levels + ((),) * (self.n + 1 - self.low - len(self.levels))
+
+    @property
+    def differentials(self) -> tuple[SparseMatrix, ...]:
+        """The map from each level to the next; one not held has no entries."""
+        sizes = list(map(len, self.masks))
+        held = dict(enumerate(self.coboundaries, self.low))
+        return tuple(held[p] if p in held else SparseMatrix(sizes[p + 1], sizes[p])
+                     for p in range(self.n))
 
     @property
     def basis(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -86,28 +102,31 @@ def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
     # Survivors are closed under dropping free positions (module docstring),
     # so extending each survivor only by free positions past the last one it
     # added reaches every survivor once, from itself minus its largest free
-    # position; each level comes out in itertools.combinations order.
-    # Entries are (mask, index into free of the next position).
-    levels: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    # position; each level comes out in itertools.combinations order, and
+    # the first empty level ends the strand.  Entries are (mask, index into
+    # free of the next position).
+    levels: list[list[tuple[int, int]]] = []
     if _survives(neg, neg, below):  # else the strand is empty
-        levels[neg.bit_count()].append((neg, 0))
         # for a survivor F, only a generator whose below-mask holds b can block F | b
         at_risk = [[g for g in below if g & b] for b in free]
-    for level, above in zip(levels, levels[1:]):
-        for F, start in level:
-            for t in range(start, len(free)):
-                G = F | free[t]
-                for g in at_risk[t]:
-                    if not g & ~G:  # g divides x^(a + N e_G)
-                        break
-                else:
-                    above.append((G, t + 1))
-    masks = tuple([tuple([F for F, _ in level]) for level in levels])
+        level = [(neg, 0)]
+        while level:
+            levels.append(level)
+            level = []
+            for F, start in levels[-1]:
+                for t in range(start, len(free)):
+                    G = F | free[t]
+                    for g in at_risk[t]:
+                        if not g & ~G:  # g divides x^(a + N e_G)
+                            break
+                    else:
+                        level.append((G, t + 1))
+    held = tuple([tuple([F for F, _ in level]) for level in levels])
     # each free b in G gives the survivor G - b (closure again); the
     # negative support is never dropped
-    diffs = tuple(_coboundaries(masks, free[::-1]))
+    diffs = tuple(_coboundaries(held, free[::-1]))
     _assert_complex([d.by_row for d in diffs])
-    return CechStrand(n=n, masks=masks, differentials=diffs)
+    return CechStrand(n=n, low=neg.bit_count(), levels=held, coboundaries=diffs)
 
 
 def _assert_complex(rows: list[list[list[tuple[int, int]]]]) -> None:
@@ -126,8 +145,9 @@ def _assert_complex(rows: list[list[list[tuple[int, int]]]]) -> None:
 def cech_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict[int, int]:
     """All nonzero cohomology dimensions of the degree-a strand."""
     strand = cech_strand(ideal, degree)
-    ranks = [rank(d, field) if any(d.by_row) else 0 for d in strand.differentials]
-    return {p: h for p, h in enumerate(_cohomology(strand.masks, ranks)) if h}
+    # every row of a held coboundary has an entry: G minus any free bit survives
+    ranks = [rank(d, field) for d in strand.coboundaries]
+    return {strand.low + p: h for p, h in enumerate(_cohomology(strand.levels, ranks)) if h}
 
 
 def cech_cohomology_dim(

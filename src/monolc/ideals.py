@@ -122,11 +122,13 @@ class MonomialIdeal:
         vars(self).update(vars(MonomialIdeal._trusted(names, gens)))
 
     @classmethod
-    def _trusted(cls, var_names: tuple[str, ...], gens: tuple[Monomial, ...]) -> "MonomialIdeal":
-        """Unchecked: distinct valid names; gens minimal, in canonical order, in that ring."""
+    def _trusted(cls, var_names: tuple[str, ...], gens: tuple[Monomial, ...],
+                 rho: tuple[int, ...] | None = None) -> "MonomialIdeal":
+        """Unchecked: distinct valid names; gens minimal, canonical, in that ring; rho theirs."""
+        if rho is None:
+            rho = tuple(map(max, zip([1] * len(var_names), *(m.exponents for m in gens))))
         ideal = object.__new__(cls)
-        columns = zip([1] * len(var_names), *(m.exponents for m in gens))
-        vars(ideal).update(var_names=var_names, gens=gens, _rho=tuple(map(max, columns)))
+        vars(ideal).update(var_names=var_names, gens=gens, _rho=rho)
         return ideal
 
     @property

@@ -126,7 +126,8 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
     j = t+2..e, carrying the excess.  The copies j = t+2..rho_i are
     appended after the original variables.  Capping one variable is an
     order embedding on exponents, so the generators stay minimal and
-    distinct and only need sorting back into canonical order.
+    distinct and only need sorting back into canonical order; rho_i
+    becomes t+1, and each copy's is 1.
     """
     for arg in (var_index, threshold):
         if not isinstance(arg, int) or isinstance(arg, bool):
@@ -149,7 +150,8 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
             for j in range(threshold + 2, e + 1):
                 exps[ideal.n + (j - threshold - 2)] = 1
         gens.append(Monomial._trusted(tuple(exps)))
-    return MonomialIdeal._trusted(names, tuple(sorted(gens, key=_canonical_key)))
+    bounds = rho(ideal)[:var_index - 1] + (threshold + 1,) + rho(ideal)[var_index:] + (1,) * tail
+    return MonomialIdeal._trusted(names, tuple(sorted(gens, key=_canonical_key)), bounds)
 
 
 def depolarize_check(polarized: PolarizedIdeal, ideal: MonomialIdeal) -> bool:

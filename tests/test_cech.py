@@ -149,15 +149,94 @@ class TestStrand:
         assert flips == 4 + 12 + 12 + 4
 
     def test_check_runs_once_per_degree(self, monkeypatch):
-        calls = []
-        check = monolc.cech._assert_complex
+        """One d o d check per degree, over the very row lists of the
+        coboundaries the strand holds: none for an empty or one-level
+        strand, two or more where three or more levels are nonempty."""
+        calls, strands = [], []
+        check, build = monolc.cech._assert_complex, monolc.cech.cech_strand
         monkeypatch.setattr(monolc.cech, "_assert_complex",
-                            lambda rows: calls.append(len(rows)) or check(rows))
-        ideal = parse_ideal("vars x y z\ngens x^2*y, y*z^2, x*z")
-        box = canonical_box(ideal)
-        for degree in box:
-            cech_dims(ideal, degree, F2)
-        assert len(box) == 18 and calls == [3] * len(box)
+                            lambda rows: calls.append(rows) or check(rows))
+        monkeypatch.setattr(monolc.cech, "cech_strand",
+                            lambda *args: strands.append(build(*args)) or strands[-1])
+        for text, lengths in [
+            ("vars x y z\ngens x^2*y, y*z^2, x*z", [0] * 10 + [1, 1] + [0] * 4 + [1, 0]),
+            ("vars a b c d e f\ngens a*e, a*c*d, a*c*f, b*e*f, c*d*f",
+             [0] * 11 + [1, 0, 0, 1, 2] + [0] * 7 + [1, 0, 0, 1, 2, 0, 0, 2, 3, 0, 0, 0, 1, 0]
+             + [1, 0, 2, 0, 1, 1, 2, 0, 2, 2, 3, 0, 1, 0, 2, 0, 2, 1, 3, 0, 2, 2, 3, 1, 3, 3, 4]),
+        ]:
+            calls.clear()
+            strands.clear()
+            ideal = parse_ideal(text)
+            box = canonical_box(ideal)
+            for degree in box:
+                cech_dims(ideal, degree, F2)
+            assert len(calls) == len(strands) == len(box)
+            for rows, strand in zip(calls, strands):
+                assert len(rows) == len(strand.coboundaries)
+                assert all(r is d.by_row for r, d in zip(rows, strand.coboundaries))
+            assert [len(rows) for rows in calls] == lengths
+
+    def test_holds_the_nonempty_levels(self):
+        """levels are the nonempty entries of masks, in order with no gap,
+        the first at low = |neg| and holding the negative support alone;
+        no free position extends a survivor of the last one.  Every
+        differential outside the held coboundaries is an entry-free
+        matrix of its levels' sizes."""
+        for seed, ideal in enumerate(corpus(200)):
+            if ideal.is_unit:
+                continue
+            for side in (ideal, polarize_ideal(ideal).ideal):
+                n = side.n
+                box = canonical_box(side)
+                if side is not ideal and len(box) > 64:
+                    box = random.Random(seed).sample(box, 64)
+                for degree in [*box, deg(-2, *[0] * (n - 1))]:
+                    strand = cech_strand(side, degree)
+                    neg = tuple(i for i, e in enumerate(degree.entries, 1) if e < 0)
+                    masks = strand.masks
+                    held = [p for p, level in enumerate(masks) if level]
+                    assert len(masks) == n + 1 and strand.low == len(neg), (side, degree)
+                    assert strand.levels == tuple(masks[p] for p in held), (side, degree)
+                    assert held == list(range(strand.low, strand.low + len(held))), (side, degree)
+                    if held:
+                        assert strand.basis[strand.low] == (neg,), (side, degree)
+                        for F in strand.basis[held[-1]]:
+                            for v in set(range(1, n + 1)) - set(F):
+                                assert not cech_piece_nonzero(side, degree, (*F, v)), (side, degree)
+                    else:
+                        assert not cech_piece_nonzero(side, degree, neg), (side, degree)
+                    diffs = strand.differentials
+                    assert len(diffs) == n
+                    assert len(strand.coboundaries) == max(len(held) - 1, 0)
+                    for k, d in enumerate(strand.coboundaries):
+                        assert d is diffs[strand.low + k]
+                    for p, d in enumerate(diffs):
+                        if not strand.low <= p < strand.low + len(strand.coboundaries):
+                            assert (d.rows, d.cols, d.entries) == (
+                                len(masks[p + 1]), len(masks[p]), {}), (side, degree, p)
+
+    def test_empty_strand(self):
+        """x^2 divides x^(2,0), so not even the empty set survives."""
+        strand = cech_strand(golden_ideal(), deg(2, 0))
+        assert strand.levels == () and strand.coboundaries == ()
+        assert strand.masks == ((), (), ())
+        assert [(d.rows, d.cols) for d in strand.differentials] == [(0, 0), (0, 0)]
+        assert cech_dims(golden_ideal(), deg(2, 0), Q) == {}
+
+    @pytest.mark.parametrize("text, degree, low", [
+        ("vars x y\ngens x^2, x*y", (1, 0), 0),
+        ("vars x y\ngens x^2, x*y", (0, -1), 1),
+        ("vars a b c d\ngens", (-1, -1, -1, -1), 4),
+    ])
+    def test_one_survivor_strand(self, text, degree, low):
+        """A single survivor, the negative support, gives H^low = k."""
+        ideal = parse_ideal(text)
+        strand = cech_strand(ideal, deg(*degree))
+        assert strand.low == low
+        assert strand.levels == ((sum(1 << i for i, e in enumerate(degree) if e < 0),),)
+        assert strand.coboundaries == ()
+        for fld in (Q, F2):
+            assert cech_dims(ideal, deg(*degree), fld) == {low: 1}
 
     def test_rows_come_out_in_column_order(self):
         """cech_strand hands its rows to SparseMatrix unchecked, so they

@@ -164,36 +164,42 @@ def rho_by_definition(ideal):
 
 class TestStoredRho:
     def reduction_ideals(self, ideal, monkeypatch):
-        """Every restriction and partial polarization that
+        """Every restriction, partial polarization and x1..xn rename that
         verify_reduction_chain builds over the box of ideal."""
         built = []
 
-        def recorded(fn):
+        def recorded(fn, part=lambda out: out):
             def wrapper(*args):
                 out = fn(*args)
-                built.append(out)
+                built.append(part(out))
                 return out
 
             return wrapper
 
         monkeypatch.setattr(verify, "restrict", recorded(verify.restrict))
         monkeypatch.setattr(verify, "partial_polarize", recorded(verify.partial_polarize))
+        monkeypatch.setattr(verify, "_boxed", recorded(verify._boxed, lambda out: out[0]))
         for degree in canonical_box(ideal):
             verify.verify_reduction_chain(ideal, degree, FieldSpec.rationals())
         monkeypatch.undo()
         return built
 
     def test_matches_a_recomputation(self, monkeypatch):
-        steps = 0
+        """Also on a twin of each ideal whose names start with x_, which
+        _boxed renames x1..xn, keeping the rho it already holds."""
+        steps = renamed = 0
         for ideal in corpus(200):
             if ideal.is_unit:
                 continue
-            reduced = self.reduction_ideals(ideal, monkeypatch)
-            steps += len(reduced)
-            for each in [ideal, polarize_ideal(ideal).ideal, *reduced]:
-                assert rho(each) == rho_by_definition(each), format_ideal(each)
-                assert rho_total(each) == sum(rho_by_definition(each))
-        assert steps > 1000
+            twin = MonomialIdeal(tuple(f"x_{v}" for v in ideal.var_names), ideal.gens)
+            for start in (ideal, twin):
+                reduced = self.reduction_ideals(start, monkeypatch)
+                steps += len(reduced)
+                renamed += sum(each.var_names[:1] == ("x1",) for each in reduced)
+                for each in [start, polarize_ideal(start).ideal, *reduced]:
+                    assert rho(each) == rho_by_definition(each), format_ideal(each)
+                    assert rho_total(each) == sum(rho_by_definition(each))
+        assert steps > 2000 and renamed > 1000, (steps, renamed)
 
     def test_identity_ignores_it(self):
         ideal = parse_ideal("vars x y z\ngens x^3*y, y^2*z, x*z^2")

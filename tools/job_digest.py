@@ -1,0 +1,52 @@
+"""One sha256 per benchmark workload over every job output, to check that
+two trees compute byte-identical results.
+
+Builds the job lists of bench/workloads.py for seeds 1-3 and runs each
+job once, in-process, through that file's RUNNERS, the calls the
+benchmark times; a job that raises stands for its exception type and
+message, as in bench/run.py.  It prints per workload the sha256 of every
+(seed, kind, field, input text, output) it gave:
+
+    python3 tools/job_digest.py > before.txt   # in one checkout
+    python3 tools/job_digest.py > after.txt    # in the other
+    diff before.txt after.txt
+
+It uses the standard library, the monolc of its own checkout and
+bench/workloads.py, which it only imports; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import monolc  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def output(job: workloads.Job) -> str:
+    """The job's output, or its exception as bench/run.py records it."""
+    try:
+        return workloads.RUNNERS[job.kind](monolc, job)
+    except Exception as exc:  # a job that raises is part of the digest, not an abort
+        return repr(workloads.JobError(f"{type(exc).__name__}: {exc}"))
+
+
+def main() -> None:
+    for name, (make_jobs, _) in workloads.WORKLOADS.items():
+        digest, count = hashlib.sha256(), 0
+        for seed in SEEDS:
+            for job in make_jobs(seed):
+                digest.update(repr((seed, job.kind, job.field, job.text, output(job))).encode())
+                count += 1
+        print(digest.hexdigest(), name, f"{count} jobs", flush=True)
+
+
+if __name__ == "__main__":
+    main()
