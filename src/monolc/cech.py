@@ -13,7 +13,8 @@ survivor (the divisibility test only gets easier), so each survivor
 above it is a survivor one level down plus a free position, which only
 generators below a at that position can block: the work follows the
 survivors, not 2^n.  The strand holds only its nonempty levels, from
-|neg| up to the first empty one, and the coboundaries between them.
+|neg| up to the first empty one (no subset of any other size survives),
+and the coboundaries between them, which drop only free positions.
 
 This path shares nothing with the simplicial route except the ideal
 types and linalg: rank, and the coboundary assembly and cohomology count
@@ -67,8 +68,7 @@ class CechStrand:
     """The degree-a layer of the Cech complex from its first nonempty level
     to its last: levels[k] holds the admissible subsets of size low + k, as
     masks in combinations order, and coboundaries[k] the alternating-sign map
-    from levels[k] to levels[k + 1].  Every other level is empty, and masks,
-    differentials and basis show all n + 1 levels."""
+    from levels[k] to levels[k + 1].  Every other level is empty."""
 
     n: int
     low: int
@@ -76,23 +76,10 @@ class CechStrand:
     coboundaries: tuple[SparseMatrix, ...]
 
     @property
-    def masks(self) -> tuple[tuple[int, ...], ...]:
-        """The masks of every level by size, the ones not held as ()."""
-        return ((),) * self.low + self.levels + ((),) * (self.n + 1 - self.low - len(self.levels))
-
-    @property
-    def differentials(self) -> tuple[SparseMatrix, ...]:
-        """The map from each level to the next; one not held has no entries."""
-        sizes = list(map(len, self.masks))
-        held = dict(enumerate(self.coboundaries, self.low))
-        return tuple(held[p] if p in held else SparseMatrix(sizes[p + 1], sizes[p])
-                     for p in range(self.n))
-
-    @property
     def basis(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The subsets as vertex tuples, decoded from the masks."""
+        """The held levels' subsets as vertex tuples, decoded from the masks."""
         return tuple(tuple(tuple(i + 1 for i in range(self.n) if F >> i & 1) for F in level)
-                     for level in self.masks)
+                     for level in self.levels)
 
 
 def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
@@ -124,15 +111,17 @@ def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
     held = tuple([tuple([F for F, _ in level]) for level in levels])
     # each free b in G gives the survivor G - b (closure again); the
     # negative support is never dropped
-    diffs = tuple(_coboundaries(held, free[::-1]))
-    _assert_complex([d.by_row for d in diffs])
-    return CechStrand(n=n, low=neg.bit_count(), levels=held, coboundaries=diffs)
+    diffs = tuple(_coboundaries(held, sum(free)))
+    low = neg.bit_count()
+    _assert_complex([d.by_row for d in diffs], low)
+    return CechStrand(n=n, low=low, levels=held, coboundaries=diffs)
 
 
-def _assert_complex(rows: list[list[list[tuple[int, int]]]]) -> None:
-    """Consecutive differentials, as lists of (column, entry) rows, must
-    compose to zero over the integers, checked row by row."""
-    for p, (lower, upper) in enumerate(zip(rows, rows[1:])):
+def _assert_complex(rows: list[list[list[tuple[int, int]]]], low: int) -> None:
+    """Consecutive differentials, as lists of (column, entry) rows, the first
+    out of level low, must compose to zero over the integers, checked row by
+    row."""
+    for p, (lower, upper) in enumerate(zip(rows, rows[1:]), low):
         for r, row in enumerate(upper):
             acc: dict[int, int] = {}
             for mid, v2 in row:

@@ -14,10 +14,11 @@ entries are reduced mod p) and one reduction serves both: it is
 fraction-free over Z, and over GF(p) each kept row is scaled so its
 pivot is 1, which leaves reduction mod p as the only modular step.
 
-Both cohomology routes (simplicial and Cech) assemble coboundaries with
-_coboundaries, each row walking only the set bits of its face, and
-count dimensions with _cohomology; tests hold both to the definition,
-and every Cech strand is checked for d o d = 0.
+Both cohomology routes (simplicial and Cech) hand _coboundaries their
+consecutive nonempty levels of faces and the mask of the bits a face
+may drop, each row walking only those set bits of its face, rank every
+coboundary it builds, and count dimensions with _cohomology; tests hold
+both to the definition, and every Cech strand is checked for d o d = 0.
 """
 
 from __future__ import annotations
@@ -141,18 +142,16 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={sum(map(len, self.by_row))})"
 
 
-def _coboundaries(levels: list[list[int]], bits: list[int]) -> list[SparseMatrix]:
+def _coboundaries(levels: list[list[int]], drop: int) -> list[SparseMatrix]:
     """The coboundary from each level of faces (bitmasks) to the next: the
-    row of G holds, for each b in bits with G & b, entry (-1)^(number of
-    bits of G below b) at the column of G - b, a face of the level below.
-    Dropping a higher bit must give an earlier face (increasing masks and
-    combinations order do) and bits run high to low, so columns ascend.
-    A row walks only the set bits of G among the bits (low to high, then
-    reversed), and a level with nothing above it gets no column index."""
-    drop = sum(bits)
+    row of G holds, for each bit b of G & drop, entry (-1)^(number of bits
+    of G below b) at the column of G - b, a face of the level below.  A row
+    walks those bits low to high and is then reversed, so its columns ascend
+    when dropping a higher bit gives an earlier face, as in increasing-mask
+    and in combinations order."""
     diffs = []
     for level, above in zip(levels, levels[1:]):
-        col = {F: c for c, F in enumerate(level)} if above else {}
+        col = {F: c for c, F in enumerate(level)}
         rows = []
         for G in above:
             row, m = [], G & drop

@@ -139,10 +139,11 @@ def reduced_cohomology_dims(cx: SimplicialComplex, field: FieldSpec) -> dict[int
     Returns a map index -> dimension containing only nonzero entries;
     the void complex gives {} and {emptyset} gives {-1: 1}.
     """
-    # faces by size, each level in increasing mask order
-    levels: list[list[int]] = [[] for _ in range(cx.n_vertices + 1)]
+    # faces by size up to the largest, each level in increasing mask order;
+    # faces are downward closed, so none of these levels is empty
+    top = max(map(int.bit_count, cx.masks), default=-1)
+    levels: list[list[int]] = [[] for _ in range(top + 1)]
     for m in sorted(cx.masks):
         levels[m.bit_count()].append(m)
-    diffs = _coboundaries(levels, [1 << i for i in reversed(range(cx.n_vertices))])
-    ranks = [rank(d, field) if any(d.by_row) else 0 for d in diffs]
+    ranks = [rank(d, field) for d in _coboundaries(levels, (1 << cx.n_vertices) - 1)]
     return {p - 1: h for p, h in enumerate(_cohomology(levels, ranks)) if h}

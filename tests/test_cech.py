@@ -65,16 +65,18 @@ class TestPieceNonzero:
 class TestStrand:
     def test_golden_strand_shape(self):
         strand = cech_strand(golden_ideal(), deg(0, -1))
-        assert [len(level) for level in strand.masks] == [0, 1, 0]
-        assert strand.basis[1] == ((2,),)
+        assert (strand.n, strand.low, strand.levels) == (2, 1, ((0b10,),))
+        assert strand.coboundaries == ()
+        assert strand.basis == (((2,),),)
 
     def test_polynomial_ring_signs(self):
         """Full Boolean strand of k[x,y] in degree (0,0): the two
         inclusion signs into {1,2} must differ."""
         strand = cech_strand(parse_ideal("vars x y\ngens"), deg(0, 0))
-        assert [len(level) for level in strand.masks] == [1, 2, 1]
-        assert strand.differentials[0].entries == {(0, 0): 1, (1, 0): 1}
-        assert strand.differentials[1].entries == {(0, 0): -1, (0, 1): 1}
+        assert strand.low == 0 and [len(level) for level in strand.levels] == [1, 2, 1]
+        assert len(strand.coboundaries) == 2
+        assert strand.coboundaries[0].entries == {(0, 0): 1, (1, 0): 1}
+        assert strand.coboundaries[1].entries == {(0, 0): -1, (0, 1): 1}
 
     def test_basis_in_lex_order(self):
         """Lex order of vertex tuples and numeric order of bitmasks
@@ -83,9 +85,10 @@ class TestStrand:
         assert strand.basis[2] == tuple(combinations(range(1, 5), 2))
 
     def test_matches_subset_reference(self):
-        """Level p is every p-subset whose localized piece survives, in
-        combinations order, and each differential has entry
-        (-1)^#{u in F : u < v} from F to F + {v}: the 2^n reference."""
+        """Held level p is every p-subset whose localized piece survives, in
+        combinations order, no p-subset survives for a p outside the held
+        window, and each coboundary has entry (-1)^#{u in F : u < v} from
+        F to F + {v}: the 2^n reference."""
         for seed, ideal in enumerate(corpus(200)):
             if ideal.is_unit:
                 continue
@@ -96,31 +99,38 @@ class TestStrand:
                     box = random.Random(seed).sample(box, 64)
                 for degree in [*box, deg(-2, *[0] * (n - 1))]:
                     strand = cech_strand(side, degree)
+                    window = range(strand.low, strand.low + len(strand.levels))
+                    assert window.stop <= n + 1, (side, degree)
                     for p in range(n + 1):
-                        assert strand.basis[p] == tuple(
+                        survivors = tuple(
                             c for c in combinations(range(1, n + 1), p)
                             if cech_piece_nonzero(side, degree, c)
+                        )
+                        if p not in window:
+                            assert survivors == (), (side, degree, p)
+                            continue
+                        assert strand.basis[p - strand.low] == survivors, (side, degree, p)
+                        assert strand.levels[p - strand.low] == tuple(
+                            sum(1 << (v - 1) for v in F) for F in survivors
                         ), (side, degree, p)
-                        assert strand.masks[p] == tuple(
-                            sum(1 << (v - 1) for v in F) for F in strand.basis[p]
-                        ), (side, degree, p)
-                    for p, d in enumerate(strand.differentials):
-                        row = {F: r for r, F in enumerate(strand.basis[p + 1])}
+                    assert len(strand.basis) == len(strand.levels), (side, degree)
+                    assert len(strand.coboundaries) == max(len(window) - 1, 0), (side, degree)
+                    for k, d in enumerate(strand.coboundaries):
+                        row = {F: r for r, F in enumerate(strand.basis[k + 1])}
                         expected = {}
-                        for c, F in enumerate(strand.basis[p]):
+                        for c, F in enumerate(strand.basis[k]):
                             for v in set(range(1, n + 1)) - set(F):
                                 r = row.get(tuple(sorted((*F, v))))
                                 if r is not None:
                                     expected[(r, c)] = (-1) ** sum(u < v for u in F)
-                        assert d.entries == expected, (side, degree, p)
+                        assert (d.rows, d.cols) == (len(row), len(strand.basis[k]))
+                        assert d.entries == expected, (side, degree, strand.low + k)
 
     def test_differentials_compose_to_zero(self):
         for ideal in corpus(25):
             for degree in canonical_box(ideal):
                 strand = cech_strand(ideal, degree)
-                for p in range(len(strand.differentials) - 1):
-                    lower = strand.differentials[p]
-                    upper = strand.differentials[p + 1]
+                for lower, upper in zip(strand.coboundaries, strand.coboundaries[1:]):
                     prod = {}
                     for (r2, c2), v2 in upper.entries.items():
                         for (r1, c1), v1 in lower.entries.items():
@@ -132,21 +142,36 @@ class TestStrand:
         """Every entry of every coboundary of k[a,b,c,d] in degree 0
         meets a d o d product, so flipping any one sign is caught."""
         strand = cech_strand(parse_ideal("vars a b c d\ngens"), deg(0, 0, 0, 0))
-        rows = [[[] for _ in range(d.rows)] for d in strand.differentials]
-        for p, d in enumerate(strand.differentials):
+        assert strand.low == 0
+        rows = [[[] for _ in range(d.rows)] for d in strand.coboundaries]
+        for p, d in enumerate(strand.coboundaries):
             for (r, c), v in sorted(d.entries.items()):
                 rows[p][r].append((c, v))
-        monolc.cech._assert_complex(rows)
+        monolc.cech._assert_complex(rows, strand.low)
         flips = 0
-        for d in rows:
+        for p, d in enumerate(rows):
+            # a flip in d_p first fails d_p * d_(p-1), one in d_0 fails d_1 * d_0
+            q = max(p, 1)
             for row in d:
                 for k, (c, v) in enumerate(row):
                     row[k] = (c, -v)
-                    with pytest.raises(AssertionError, match="is not zero"):
-                        monolc.cech._assert_complex(rows)
+                    with pytest.raises(AssertionError, match=rf"^d{q} \* d{q - 1} is not zero"):
+                        monolc.cech._assert_complex(rows, strand.low)
                     row[k] = (c, v)
                     flips += 1
         assert flips == 4 + 12 + 12 + 4
+
+    def test_check_names_pairs_by_absolute_level(self):
+        """At (-1,0,0,0) the strand of k[a,b,c,d] starts at level 1, so
+        its first held pair of coboundaries is d2 * d1."""
+        strand = cech_strand(parse_ideal("vars a b c d\ngens"), deg(-1, 0, 0, 0))
+        assert strand.low == 1 and [len(level) for level in strand.levels] == [1, 3, 3, 1]
+        rows = [copy.deepcopy(d.by_row) for d in strand.coboundaries]
+        monolc.cech._assert_complex(rows, strand.low)
+        c, v = rows[0][0][0]
+        rows[0][0][0] = (c, -v)
+        with pytest.raises(AssertionError, match=r"^d2 \* d1 is not zero in row "):
+            monolc.cech._assert_complex(rows, strand.low)
 
     def test_check_runs_once_per_degree(self, monkeypatch):
         """One d o d check per degree, over the very row lists of the
@@ -155,7 +180,7 @@ class TestStrand:
         calls, strands = [], []
         check, build = monolc.cech._assert_complex, monolc.cech.cech_strand
         monkeypatch.setattr(monolc.cech, "_assert_complex",
-                            lambda rows: calls.append(rows) or check(rows))
+                            lambda rows, low: calls.append((rows, low)) or check(rows, low))
         monkeypatch.setattr(monolc.cech, "cech_strand",
                             lambda *args: strands.append(build(*args)) or strands[-1])
         for text, lengths in [
@@ -171,17 +196,17 @@ class TestStrand:
             for degree in box:
                 cech_dims(ideal, degree, F2)
             assert len(calls) == len(strands) == len(box)
-            for rows, strand in zip(calls, strands):
+            for (rows, low), strand in zip(calls, strands):
+                assert low == strand.low
                 assert len(rows) == len(strand.coboundaries)
                 assert all(r is d.by_row for r, d in zip(rows, strand.coboundaries))
-            assert [len(rows) for rows in calls] == lengths
+            assert [len(rows) for rows, _ in calls] == lengths
 
     def test_holds_the_nonempty_levels(self):
-        """levels are the nonempty entries of masks, in order with no gap,
-        the first at low = |neg| and holding the negative support alone;
-        no free position extends a survivor of the last one.  Every
-        differential outside the held coboundaries is an entry-free
-        matrix of its levels' sizes."""
+        """Every held level is nonempty, the first at low = |neg| and
+        holding the negative support alone; no free position extends a
+        survivor of the last one.  A coboundary joins each consecutive
+        pair of held levels, with their sizes as its shape."""
         for seed, ideal in enumerate(corpus(200)):
             if ideal.is_unit:
                 continue
@@ -193,34 +218,27 @@ class TestStrand:
                 for degree in [*box, deg(-2, *[0] * (n - 1))]:
                     strand = cech_strand(side, degree)
                     neg = tuple(i for i, e in enumerate(degree.entries, 1) if e < 0)
-                    masks = strand.masks
-                    held = [p for p, level in enumerate(masks) if level]
-                    assert len(masks) == n + 1 and strand.low == len(neg), (side, degree)
-                    assert strand.levels == tuple(masks[p] for p in held), (side, degree)
-                    assert held == list(range(strand.low, strand.low + len(held))), (side, degree)
-                    if held:
-                        assert strand.basis[strand.low] == (neg,), (side, degree)
-                        for F in strand.basis[held[-1]]:
+                    levels = strand.levels
+                    assert strand.n == n and strand.low == len(neg), (side, degree)
+                    assert all(levels), (side, degree)
+                    for k, level in enumerate(levels, strand.low):
+                        assert {F.bit_count() for F in level} == {k}, (side, degree, k)
+                    if levels:
+                        assert strand.basis[0] == (neg,), (side, degree)
+                        for F in strand.basis[-1]:
                             for v in set(range(1, n + 1)) - set(F):
                                 assert not cech_piece_nonzero(side, degree, (*F, v)), (side, degree)
                     else:
                         assert not cech_piece_nonzero(side, degree, neg), (side, degree)
-                    diffs = strand.differentials
-                    assert len(diffs) == n
-                    assert len(strand.coboundaries) == max(len(held) - 1, 0)
+                    assert len(strand.coboundaries) == max(len(levels) - 1, 0)
                     for k, d in enumerate(strand.coboundaries):
-                        assert d is diffs[strand.low + k]
-                    for p, d in enumerate(diffs):
-                        if not strand.low <= p < strand.low + len(strand.coboundaries):
-                            assert (d.rows, d.cols, d.entries) == (
-                                len(masks[p + 1]), len(masks[p]), {}), (side, degree, p)
+                        assert (d.rows, d.cols) == (len(levels[k + 1]), len(levels[k]))
 
     def test_empty_strand(self):
         """x^2 divides x^(2,0), so not even the empty set survives."""
         strand = cech_strand(golden_ideal(), deg(2, 0))
         assert strand.levels == () and strand.coboundaries == ()
-        assert strand.masks == ((), (), ())
-        assert [(d.rows, d.cols) for d in strand.differentials] == [(0, 0), (0, 0)]
+        assert strand.basis == ()
         assert cech_dims(golden_ideal(), deg(2, 0), Q) == {}
 
     @pytest.mark.parametrize("text, degree, low", [
@@ -249,7 +267,7 @@ class TestStrand:
                 if side is not ideal and len(box) > 64:
                     box = random.Random(seed).sample(box, 64)
                 for degree in box:
-                    for d in cech_strand(side, degree).differentials:
+                    for d in cech_strand(side, degree).coboundaries:
                         assert d == SparseMatrix(d.rows, d.cols, d.entries), (side, degree)
 
     def test_ranks_the_checked_rows(self, monkeypatch):
@@ -258,9 +276,9 @@ class TestStrand:
         checked, ranked = [], []
         check, rank = monolc.cech._assert_complex, monolc.cech.rank
 
-        def record_check(rows):
+        def record_check(rows, low):
             checked.extend((d, copy.deepcopy(d)) for d in rows)
-            return check(rows)
+            return check(rows, low)
 
         monkeypatch.setattr(monolc.cech, "_assert_complex", record_check)
         monkeypatch.setattr(monolc.cech, "rank",
@@ -272,7 +290,7 @@ class TestStrand:
                     checked.clear()
                     ranked.clear()
                     cech_dims(ideal, degree, fld)
-                    assert len(ranked) == sum(any(d) for d, _ in checked)
+                    assert len(ranked) == len(checked)
                     by_id = {id(d): snapshot for d, snapshot in checked}
                     for rows in ranked:
                         assert by_id[id(rows)] == rows, (ideal, degree)
@@ -285,7 +303,7 @@ class TestStrand:
                 strand = cech_strand(ideal, degree)
                 levels = sum(
                     (-1 if p % 2 else 1) * len(level)
-                    for p, level in enumerate(strand.masks)
+                    for p, level in enumerate(strand.levels, strand.low)
                 )
                 dims = cech_dims(ideal, degree, Q)
                 cohom = sum((-1 if i % 2 else 1) * d for i, d in dims.items())

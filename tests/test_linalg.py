@@ -267,7 +267,7 @@ class TestRank:
             levels = [[] for _ in range(n + 1)]
             for m in range(1 << n):
                 levels[m.bit_count()].append(m)
-            diffs = _coboundaries(levels, [1 << i for i in reversed(range(n))])
+            diffs = _coboundaries(levels, (1 << n) - 1)
             assert [rank(d, field) for d in diffs] == [comb(n - 1, k) for k in range(n)], n
 
     def test_q_agrees_with_large_prime_on_small_sign_matrices(self):
@@ -364,33 +364,34 @@ class TestCoboundaryKernel:
     def cases(self):
         """Levels in increasing-mask and in combinations order; every other
         family keeps some fixed bits that are never dropped, as a Cech
-        strand keeps the negative support.  Yields the levels, the bits
-        to drop (high to low) and the reference coboundaries."""
+        strand keeps the negative support, and levels below the fixed bits'
+        count stay empty.  Yields the levels, the mask of the bits to drop
+        and the reference coboundaries."""
         rng = random.Random(18)
         for trial in range(80):
             n = rng.randint(1, 5)
             fixed = 0 if trial % 2 else sum(1 << i for i in range(n) if rng.randrange(4) == 0)
             family = random_family(rng, n, fixed)
             droppable = (1 << n) - 1 & ~fixed
-            bits = [1 << i for i in reversed(range(n)) if droppable >> i & 1]
             for order in (lambda F: F, lambda F: [i for i in range(n) if F >> i & 1]):
                 levels = [[] for _ in range(n + 1)]
                 for F in sorted(family, key=order):
                     levels[F.bit_count()].append(F)
-                yield levels, bits, [reference_coboundary(lower, upper, n, droppable)
-                                     for lower, upper in zip(levels, levels[1:])]
+                yield levels, droppable, [reference_coboundary(lower, upper, n, droppable)
+                                          for lower, upper in zip(levels, levels[1:])]
 
     def test_matches_the_definition(self):
-        multi_entry_rows = fixed_bits = 0
-        for levels, bits, refs in self.cases():
-            diffs = _coboundaries(levels, bits)
+        multi_entry_rows = fixed_bits = empty_levels = 0
+        for levels, drop, refs in self.cases():
+            diffs = _coboundaries(levels, drop)
             assert diffs == refs
             multi_entry_rows += sum(len(row) > 1 for d in diffs for row in d.by_row)
-            fixed_bits += len(bits) < len(diffs) and any(levels)
-        assert multi_entry_rows > 100 and fixed_bits > 10
+            fixed_bits += drop.bit_count() < len(diffs) and any(levels)
+            empty_levels += any(levels) and not all(levels)
+        assert multi_entry_rows > 100 and fixed_bits > 10 and empty_levels > 10
 
     def test_cohomology_matches_a_dense_rank_count(self):
-        for levels, bits, refs in self.cases():
+        for levels, drop, refs in self.cases():
             for field, p in ((Q, None), (F2, 2)):
                 dense = [dense_rank_oracle([[d.entries.get((r, c), 0) for c in range(d.cols)]
                                             for r in range(d.rows)], p) for d in refs]
@@ -398,7 +399,7 @@ class TestCoboundaryKernel:
                 for q, level in enumerate(levels):
                     kernel = len(level) - (dense[q] if q < len(dense) else 0)
                     expected.append(kernel - (dense[q - 1] if q else 0))
-                ranks = [rank(d, field) for d in _coboundaries(levels, bits)]
+                ranks = [rank(d, field) for d in _coboundaries(levels, drop)]
                 assert _cohomology(levels, ranks) == expected
                 assert sum((-1) ** q * h for q, h in enumerate(expected)) == sum(
                     (-1) ** q * len(level) for q, level in enumerate(levels))

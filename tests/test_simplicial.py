@@ -155,19 +155,25 @@ class TestCohomology:
         padded = SimplicialComplex.from_facets(9, [(1, 2)])
         assert reduced_cohomology_dims(small, Q) == reduced_cohomology_dims(padded, Q)
 
-    @pytest.mark.parametrize("cx, calls", [
-        (SimplicialComplex.void(3), 0),
-        (SimplicialComplex.irrelevant(3), 0),
-        (hollow_triangle(), 2),
-        (SimplicialComplex.from_facets(3, [(1, 2, 3)]), 3),
-    ], ids=["void", "empty_face", "hollow_triangle", "simplex"])
-    def test_ranks_only_maps_between_nonempty_levels(self, cx, calls, monkeypatch):
+    @pytest.mark.parametrize("cx, calls, dims", [
+        (SimplicialComplex.void(3), 0, {}),
+        (SimplicialComplex.irrelevant(3), 0, {-1: 1}),
+        (hollow_triangle(), 2, {1: 1}),
+        (SimplicialComplex.from_facets(3, [(1, 2, 3)]), 3, {}),
+        (SimplicialComplex.from_facets(6, [(v,) for v in range(1, 7)]), 1, {0: 5}),
+        (SimplicialComplex.from_facets(6, RP2_FACETS), 3, {}),
+    ], ids=["void", "empty_face", "hollow_triangle", "simplex", "isolated_vertices", "rp2"])
+    def test_ranks_only_maps_between_nonempty_levels(self, cx, calls, dims, monkeypatch):
+        """One rank per map between consecutive levels up to the largest
+        face, the levels above it empty even where it is smaller than
+        the vertex count; every map ranked is nonempty."""
         ranked = []
         rank = monolc.simplicial.rank
         monkeypatch.setattr(monolc.simplicial, "rank",
                             lambda m, field: ranked.append(m) or rank(m, field))
-        reduced_cohomology_dims(cx, Q)
+        assert reduced_cohomology_dims(cx, Q) == dims
         assert len(ranked) == calls
+        assert all(m.rows and m.cols and all(m.by_row) for m in ranked)
 
     def test_ranks_coboundaries_in_row_form(self, monkeypatch):
         """Each ranked matrix is the coboundary from faces of dimension d

@@ -130,7 +130,7 @@ class TestTakayamaComplex:
             for side in (ideal, polarize_ideal(ideal).ideal):
                 for degree in canonical_box(side):
                     neg = sum(1 << j for j, e in enumerate(degree.entries) if e < 0)
-                    survivors = {F for level in cech_strand(side, degree).masks for F in level}
+                    survivors = {F for level in cech_strand(side, degree).levels for F in level}
                     shifted = {neg | F for F in takayama_complex(side, degree).masks}
                     assert survivors == shifted, (
                         f"{side} at {degree.entries}: differ at {sorted(survivors ^ shifted)}")

@@ -5,19 +5,23 @@ Builds the job lists of bench/workloads.py for seeds 1-3 and runs each
 job once, in-process, through that file's RUNNERS, the calls the
 benchmark times; a job that raises stands for its exception type and
 message, as in bench/run.py.  It prints per workload the sha256 of every
-(seed, kind, field, input text, output) it gave:
+(seed, kind, field, input text, output) it gave, and then the count-unit
+per_layer metrics of BENCHMARK.json over one seed-1 pass of each
+workload, traced by bench/spans.py's Tracer as bench/run.py traces one:
 
     python3 tools/job_digest.py > before.txt   # in one checkout
     python3 tools/job_digest.py > after.txt    # in the other
     diff before.txt after.txt
 
 It uses the standard library, the monolc of its own checkout and
-bench/workloads.py, which it only imports; pytest does not collect it.
+bench/workloads.py and bench/spans.py, which it only imports; pytest
+does not collect it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -26,8 +30,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import monolc  # noqa: E402
 import workloads  # noqa: E402
+from spans import Tracer  # noqa: E402
 
 SEEDS = (1, 2, 3)
+COUNTS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+          if m["unit"] == "count"]
 
 
 def output(job: workloads.Job) -> str:
@@ -38,6 +45,21 @@ def output(job: workloads.Job) -> str:
         return repr(workloads.JobError(f"{type(exc).__name__}: {exc}"))
 
 
+def counters(jobs: list[workloads.Job]) -> dict[str, int]:
+    """The COUNTS metrics of one traced pass over the jobs."""
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for i, job in enumerate(jobs):
+            tracer.begin_job(i)
+            output(job)
+            tracer.end_job()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    return {k: metrics[k] for k in COUNTS}
+
+
 def main() -> None:
     for name, (make_jobs, _) in workloads.WORKLOADS.items():
         digest, count = hashlib.sha256(), 0
@@ -46,6 +68,9 @@ def main() -> None:
                 digest.update(repr((seed, job.kind, job.field, job.text, output(job))).encode())
                 count += 1
         print(digest.hexdigest(), name, f"{count} jobs", flush=True)
+    print(f"# counters of one traced pass at seed {SEEDS[0]}")
+    for name, (make_jobs, _) in workloads.WORKLOADS.items():
+        print(name, *(f"{k}={v}" for k, v in counters(make_jobs(SEEDS[0])).items()), flush=True)
 
 
 if __name__ == "__main__":
