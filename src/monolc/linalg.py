@@ -1,18 +1,18 @@
-"""Exact rank computation for sparse matrices over Q or a prime field.
+"""Exact rank computation for sparse integer matrices over Q or a prime field.
 
-No floating point anywhere.  A SparseMatrix stores its rows, each a
-list of (column, value) pairs with columns ascending, and rank reads
-them as they are.  Every field follows one rule: each row in turn is
-reduced against the kept row with the same last column until that
-column is new, then kept under it, and the rank is the number of rows
-kept.  Every matrix the library ranks is a coboundary, and the last
-column is the standard pivot for those (Chen-Kerber's twist, Ripser).
-Over GF(2) each row is read in one pass into an int bitmask, one bit
-per odd entry, and reduction is XOR.  Over Q and odd p each row first
-becomes integers (over Q its denominators are cleared, over GF(p) its
-entries are reduced mod p) and one reduction serves both: it is
-fraction-free over Z, and over GF(p) each kept row is scaled so its
-pivot is 1, which leaves reduction mod p as the only modular step.
+No floating point anywhere, and every entry is an int.  A SparseMatrix
+stores its rows, each a list of (column, value) pairs with columns
+ascending, and rank reads them as they are.  Every field follows one
+rule: each row in turn is reduced against the kept row with the same
+last column until that column is new, then kept under it, and the rank
+is the number of rows kept.  Every matrix the library ranks is a
+coboundary, and the last column is the standard pivot for those
+(Chen-Kerber's twist, Ripser).  Over GF(2) each row is read in one pass
+into an int bitmask, one bit per odd entry, and reduction is XOR.  Over
+Q and odd p one reduction serves both, on the rows as they are over Q
+and on their nonzero residues mod p over GF(p): it is fraction-free
+over Z, and over GF(p) each kept row is scaled so its pivot is 1, which
+leaves reduction mod p as the only modular step.
 
 Both cohomology routes (simplicial and Cech) hand _coboundaries their
 consecutive nonempty levels of faces and the mask of the bits a face
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 
@@ -89,25 +88,27 @@ class FieldSpec:
 
 @dataclass(slots=True, repr=False)
 class SparseMatrix:
-    """Nonzero exact entries by row: by_row[r] lists row r's (column, value)
+    """Nonzero int entries by row: by_row[r] lists row r's (column, value)
     pairs, columns ascending, the form the library assembles coboundaries
     in and ranks them from; `entries` decodes it to {(row, col): value}."""
 
     rows: int
     cols: int
-    by_row: list[list[tuple[int, int | Fraction]]]
+    by_row: list[list[tuple[int, int]]]
 
     def __init__(self, rows: int, cols: int,
                  entries: Mapping[tuple[int, int], object] | None = None) -> None:
         if not (type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0):
             raise ValueError(f"matrix dimensions {rows!r}x{cols!r} are not non-negative ints")
         by_row: list[list] = [[] for _ in range(rows)]
-        for (r, c), v in (entries or {}).items():
-            if not (type(r) is int and type(c) is int and 0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r!r}, {c!r}) outside a {rows}x{cols} matrix")
-            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
-                raise ValueError(f"entries must be int or Fraction, got {v!r}")
-            if v != 0:
+        for key, v in (entries or {}).items():
+            if not (type(key) is tuple and len(key) == 2 and all(type(i) is int for i in key)
+                    and 0 <= key[0] < rows and 0 <= key[1] < cols):
+                raise ValueError(f"entry {key!r} outside a {rows}x{cols} matrix")
+            r, c = key
+            if type(v) is not int:
+                raise ValueError(f"entries must be ints, got {v!r}")
+            if v:
                 by_row[r].append((c, v))
         for row in by_row:
             row.sort()  # columns within a row are distinct, so values are never compared
@@ -121,7 +122,7 @@ class SparseMatrix:
         return m
 
     @property
-    def entries(self) -> dict[tuple[int, int], int | Fraction]:
+    def entries(self) -> dict[tuple[int, int], int]:
         """The nonzero entries by (row, col), decoded from the rows."""
         return {(r, c): v for r, row in enumerate(self.by_row) for c, v in row}
 
@@ -171,33 +172,6 @@ def _cohomology(levels: list[list[int]], ranks: list[int]) -> list[int]:
     return [len(level) - r[p] - r[p + 1] for p, level in enumerate(levels)]
 
 
-def _integer_rows(matrix: SparseMatrix, p: int | None) -> list[dict[int, int]]:
-    """The rows as {column: nonzero integer}.
-
-    Over Q each row is scaled by the lcm of its denominators; over
-    GF(p) each entry is reduced into [0, p), and only a Fraction goes
-    through its denominator.
-    """
-    rows = []
-    for row in matrix.by_row:
-        if p is None:
-            lcm = math.lcm(*(v.denominator for _, v in row))
-            rows.append({c: int(v * lcm) for c, v in row})
-            continue
-        ints = {}
-        for c, v in row:
-            if type(v) is not int:
-                d = v.denominator
-                if d % p == 0:
-                    raise ValueError(f"denominator of {v} vanishes mod {p}")
-                v = v.numerator * pow(d, -1, p)
-            v %= p
-            if v:
-                ints[c] = v
-        rows.append(ints)
-    return rows
-
-
 def _strip_gcd(row: dict[int, int]) -> None:
     g = math.gcd(*row.values())
     if g > 1:
@@ -238,22 +212,19 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
 
 
 def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
-    """Rank of the matrix over the given field.
-
-    Rational entries are allowed for either field; over GF(p) a
-    denominator divisible by p is an error.
-    """
-    if field.p != 2:
-        return _eliminate(_integer_rows(matrix, field.p), field.p)
-    # each row as an int mask, one bit per odd entry (an odd denominator keeps
-    # a numerator's parity), reduced against the kept row with the same last column
+    """Rank of the int matrix over the given field."""
+    p = field.p
+    if p is None:
+        return _eliminate([dict(row) for row in matrix.by_row], None)
+    if p != 2:
+        return _eliminate([{c: r for c, v in row if (r := v % p)} for row in matrix.by_row], p)
+    # each row as an int mask, one bit per odd entry, reduced against the
+    # kept row with the same last column
     kept: dict[int, int] = {}
     for row in matrix.by_row:
         m = 0
         for c, v in row:
-            if not v.denominator & 1:
-                raise ValueError(f"denominator of {v} vanishes mod 2")
-            if v.numerator & 1:
+            if v & 1:
                 m |= 1 << c
         while (last := m.bit_length()) in kept:
             m ^= kept[last]

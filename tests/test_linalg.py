@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -120,9 +121,15 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(-1, 2)
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 1, {(0, 0): 1.5})
+    @pytest.mark.parametrize("value", [1.5, True, Fraction(1, 2), Fraction(4, 2)],
+                             ids=["float", "bool", "fraction", "whole_fraction"])
+    @pytest.mark.parametrize("build", [
+        lambda v: SparseMatrix(1, 1, {(0, 0): v}),
+        lambda v: SparseMatrix.from_dense([[v]]),
+    ], ids=["mapping", "from_dense"])
+    def test_rejects_bad_values(self, build, value):
+        with pytest.raises(ValueError, match="^entries must be ints, got "):
+            build(value)
 
     def test_from_dense(self):
         mat = SparseMatrix.from_dense([[1, 0], [0, 2]])
@@ -146,15 +153,16 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="^matrix dimensions"):
             SparseMatrix(*shape)
 
-    @pytest.mark.parametrize("index", [(0.0, 0), (0, 1.0), (True, 0), (0, False), (Fraction(1), 0)])
+    @pytest.mark.parametrize("index", [(0.0, 0), (0, 1.0), (True, 0), (0, False), (Fraction(1), 0),
+                                       5, (0, 0, 0)])
     def test_rejects_indices_that_are_not_ints(self, index):
-        with pytest.raises(ValueError, match="outside a 2x2 matrix"):
+        with pytest.raises(ValueError, match=f"^entry {re.escape(repr(index))} outside a 2x2 matrix$"):
             SparseMatrix(2, 2, {index: 1})
 
     def test_stores_rows_in_column_order(self):
-        mat = SparseMatrix(3, 4, {(2, 3): 5, (0, 1): 0, (2, 0): Fraction(1, 2), (0, 2): -1})
-        assert mat.by_row == [[(2, -1)], [], [(0, Fraction(1, 2)), (3, 5)]]
-        assert transposed(mat).by_row == [[(2, Fraction(1, 2))], [], [(0, -1)], [(2, 5)]]
+        mat = SparseMatrix(3, 4, {(2, 3): 5, (0, 1): 0, (2, 0): 7, (0, 2): -1})
+        assert mat.by_row == [[(2, -1)], [], [(0, 7), (3, 5)]]
+        assert transposed(mat).by_row == [[(2, 7)], [], [(0, -1)], [(2, 5)]]
 
 
 class TestRank:
@@ -182,22 +190,10 @@ class TestRank:
         twos = SparseMatrix.from_dense([[1, 1], [1, -1]])
         assert rank(twos, Q) == 2
         assert rank(twos, F2) == 1
-
-    def test_fraction_entries(self):
-        mat = SparseMatrix.from_dense([[Fraction(1, 2), 1], [1, 2]])
-        assert rank(mat, Q) == 1
-        mat2 = SparseMatrix.from_dense([[Fraction(1, 3), 1], [1, 2]])
-        assert rank(mat2, Q) == 2
-        whole = SparseMatrix.from_dense([[Fraction(4, 2), 2], [Fraction(6, 3), 3]])
-        assert rank(whole, Q) == 2
-        assert rank(whole, F2) == 1
-        assert rank(whole, FieldSpec.gf(3)) == 2
-
-    def test_fraction_mod_p(self):
-        mat = SparseMatrix.from_dense([[Fraction(1, 3)]])
-        assert rank(mat, F2) == 1
-        with pytest.raises(ValueError):
-            rank(SparseMatrix.from_dense([[Fraction(1, 2)]]), F2)
+        evens = SparseMatrix.from_dense([[2, 2], [2, 3]])
+        assert rank(evens, Q) == 2
+        assert rank(evens, F2) == 1
+        assert rank(evens, FieldSpec.gf(3)) == 2
 
     def test_against_minor_oracle(self):
         rng = random.Random(5)
@@ -286,27 +282,10 @@ class TestRank:
         assert len(results) == 1
 
     def test_overflow_safety(self):
-        # Hilbert-like matrix entries force large intermediate integers
-        data = [[Fraction(1, r + c + 1) for c in range(6)] for r in range(6)]
+        # the 6x6 Hilbert matrix times lcm(1..11): entries up to 27720 force
+        # large intermediate integers
+        data = [[27720 // (r + c + 1) for c in range(6)] for r in range(6)]
         assert rank(SparseMatrix.from_dense(data), Q) == 6
-
-    def test_fractions_with_denominators_prime_to_p(self):
-        """Fraction entries, even numerators among them, against the dense
-        oracle on their residues num * den^-1 mod p."""
-        rng = random.Random(20)
-        drops = 0
-        for p in (2, 3):
-            for _ in range(60):
-                nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-                data = [[Fraction(rng.randint(-4, 4), rng.choice((1, 5, 7, 35)))
-                         for _ in range(nc)] for _ in range(nr)]
-                residues = [[v.numerator * pow(v.denominator, -1, p) % p for v in row]
-                            for row in data]
-                mat = SparseMatrix.from_dense(data)
-                expected = dense_rank_oracle(residues, p)
-                assert rank(mat, FieldSpec.gf(p)) == expected, (p, data)
-                drops += expected < rank(mat, Q)
-        assert drops > 10
 
     def test_negative_int_entries(self):
         twos = SparseMatrix.from_dense([[-1, -2], [-3, -4]])
@@ -318,16 +297,6 @@ class TestRank:
                 data = [[-rng.randint(0, 6) for _ in range(nc)] for _ in range(nr)]
                 assert rank(SparseMatrix.from_dense(data), FieldSpec.gf(p)) == dense_rank_oracle(
                     data, p), (p, data)
-
-    @pytest.mark.parametrize("p, data", [
-        (2, [[1, 1, Fraction(1, 2)]]),
-        (2, [[1, 0, 0], [0, -1, Fraction(3, 4)]]),
-        (2, [[Fraction(1, 3), 2, Fraction(5, 6)]]),
-        (3, [[1, 2, 0], [Fraction(1, 5), 1, Fraction(2, 3)]]),
-    ])
-    def test_denominator_divisible_by_p_late_in_a_row(self, p, data):
-        with pytest.raises(ValueError, match=f"vanishes mod {p}"):
-            rank(SparseMatrix.from_dense(data), FieldSpec.gf(p))
 
 
 def random_family(rng, n, fixed):

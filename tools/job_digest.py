@@ -7,7 +7,11 @@ benchmark times; a job that raises stands for its exception type and
 message, as in bench/run.py.  It prints per workload the sha256 of every
 (seed, kind, field, input text, output) it gave, and then the count-unit
 per_layer metrics of BENCHMARK.json over one seed-1 pass of each
-workload, traced by bench/spans.py's Tracer as bench/run.py traces one:
+workload, traced by bench/spans.py's Tracer as bench/run.py traces one,
+and last the sha256 of every (field, rows, cols, by_row, rank) that
+another seed-1 pass ranks through the two cohomology routes' bindings
+of rank, monolc.simplicial.rank and monolc.cech.rank, with the count
+of those calls, so that two rank kernels can be shown to agree:
 
     python3 tools/job_digest.py > before.txt   # in one checkout
     python3 tools/job_digest.py > after.txt    # in the other
@@ -29,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import monolc  # noqa: E402
+from monolc import cech, simplicial  # noqa: E402
 import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
 
@@ -60,6 +65,33 @@ def counters(jobs: list[workloads.Job]) -> dict[str, int]:
     return {k: metrics[k] for k in COUNTS}
 
 
+def rank_digest(jobs: list[workloads.Job]) -> tuple[str, int]:
+    """The sha256 of every matrix one pass over the jobs ranks through
+    simplicial.rank and cech.rank, with its field and rank, and the count."""
+    digest, calls = hashlib.sha256(), 0
+
+    def recording(original):
+        def rank(matrix, field):
+            nonlocal calls
+            result = original(matrix, field)
+            digest.update(repr((str(field), matrix.rows, matrix.cols, matrix.by_row,
+                                result)).encode())
+            calls += 1
+            return result
+        return rank
+
+    bindings = [(mod, mod.rank) for mod in (simplicial, cech)]
+    for mod, original in bindings:
+        mod.rank = recording(original)
+    try:
+        for job in jobs:
+            output(job)
+    finally:
+        for mod, original in bindings:
+            mod.rank = original
+    return digest.hexdigest(), calls
+
+
 def main() -> None:
     for name, (make_jobs, _) in workloads.WORKLOADS.items():
         digest, count = hashlib.sha256(), 0
@@ -71,6 +103,10 @@ def main() -> None:
     print(f"# counters of one traced pass at seed {SEEDS[0]}")
     for name, (make_jobs, _) in workloads.WORKLOADS.items():
         print(name, *(f"{k}={v}" for k, v in counters(make_jobs(SEEDS[0])).items()), flush=True)
+    print(f"# rank calls of the cohomology routes in one pass at seed {SEEDS[0]}")
+    for name, (make_jobs, _) in workloads.WORKLOADS.items():
+        sha, calls = rank_digest(make_jobs(SEEDS[0]))
+        print(sha, name, f"{calls} rank calls", flush=True)
 
 
 if __name__ == "__main__":
