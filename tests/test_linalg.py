@@ -190,10 +190,17 @@ class TestRank:
         twos = SparseMatrix.from_dense([[1, 1], [1, -1]])
         assert rank(twos, Q) == 2
         assert rank(twos, F2) == 1
-        evens = SparseMatrix.from_dense([[2, 2], [2, 3]])
-        assert rank(evens, Q) == 2
-        assert rank(evens, F2) == 1
-        assert rank(evens, FieldSpec.gf(3)) == 2
+
+    def test_fraction_entries(self):
+        # Entries are ints: a Fraction is refused even when it is whole,
+        # and the whole-number rows it stood for rank as ints.
+        for value in (Fraction(1, 2), Fraction(4, 2)):
+            with pytest.raises(ValueError):
+                SparseMatrix.from_dense([[value, 2], [2, 3]])
+        whole = SparseMatrix.from_dense([[2, 2], [2, 3]])
+        assert rank(whole, Q) == 2
+        assert rank(whole, F2) == 1
+        assert rank(whole, FieldSpec.gf(3)) == 2
 
     def test_against_minor_oracle(self):
         rng = random.Random(5)
