@@ -34,6 +34,8 @@ from .linalg import FieldSpec, SparseMatrix, _coboundaries, _cohomology, rank
 def _masks(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, list[int]]:
     """Masks (coordinate i at bit i - 1) of the negative coordinates of a,
     and per generator of the coordinates where a is below its exponent."""
+    if not isinstance(degree, MultiDegree):
+        raise ValueError(f"degree {degree!r} is not a MultiDegree")
     if degree.n != ideal.n:
         raise ValueError("degree length does not match variable count")
     bits, a = [1 << i for i in range(ideal.n)], degree.entries

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import neg
 from typing import Iterable, Sequence
 
@@ -102,7 +103,14 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal in k[var_names], stored by its minimal generators."""
+    """A monomial ideal in k[var_names], stored by its minimal generators.
+
+    `_steps`, built on first use, holds per minimal generator its
+    distinct positive exponents d_1 < ... < d_r and the masks (variable
+    i at bit i - 1) of the variables with exponent >= d_k, for k = 1..r,
+    and last 0, as none exceeds d_r.  Its size follows the distinct
+    exponents, never their magnitude.  The simplicial route reads its
+    blockers off it; the Cech oracle does not."""
 
     var_names: tuple[str, ...]
     gens: tuple[Monomial, ...]
@@ -138,6 +146,21 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return any(m.is_unit for m in self.gens)
+
+    @cached_property
+    def _steps(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        table = []
+        for m in self.gens:
+            at: dict[int, int] = {}  # exponent d > 0 -> the variables with exponent d
+            for i, e in enumerate(m.exponents):
+                if e:
+                    at[e] = at.get(e, 0) | 1 << i
+            ds = sorted(at)
+            masks = [0]  # from d_r down, the variables with exponent >= d
+            for d in reversed(ds):
+                masks.append(masks[-1] | at[d])
+            table.append((tuple(ds), tuple(reversed(masks))))
+        return tuple(table)
 
 
 def rho(ideal: MonomialIdeal) -> tuple[int, ...]:

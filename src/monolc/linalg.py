@@ -128,6 +128,9 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, data: list) -> "SparseMatrix":
+        if not (isinstance(data, (list, tuple))
+                and all(isinstance(row, (list, tuple)) for row in data)):
+            raise ValueError(f"dense matrix {data!r} is not a list of rows")
         rows = len(data)
         cols = len(data[0]) if rows else 0
         entries = {}

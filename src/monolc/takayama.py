@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -33,15 +34,28 @@ from .simplicial import SimplicialComplex, reduced_cohomology_dims
 
 def _blockers(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, list[int]]:
     """The mask of the non-negative positions V of a, and per minimal
-    generator the positions of V where a_j is below its exponent."""
+    generator the positions of V where a_j is below its exponent.
+
+    One pass over a groups V by value v; a generator's blocker is the
+    union over v of the positions holding v that are among its variables
+    with exponent > v, a mask read off the ideal's `_steps` table.  So a
+    degree costs O(n + g*k), with g generators and k distinct values
+    a_j >= 0."""
+    if not isinstance(degree, MultiDegree):
+        raise ValueError(f"degree {degree!r} is not a MultiDegree")
     if degree.n != ideal.n:
         raise ValueError("degree length does not match variable count")
-    wmask = sum(1 << i for i, e in enumerate(degree.entries) if e >= 0)
-    blockers = [
-        wmask & sum(1 << i for i, (e, g) in enumerate(zip(degree.entries, m.exponents)) if e < g)
-        for m in ideal.gens
-    ]
-    return wmask, blockers
+    at: dict[int, int] = {}  # value v >= 0 -> the positions where a_j = v
+    for i, v in enumerate(degree.entries):
+        if v >= 0:
+            at[v] = at.get(v, 0) | 1 << i
+    blockers = []
+    for ds, masks in ideal._steps:
+        b = 0
+        for v, pos in at.items():
+            b |= pos & masks[bisect_right(ds, v)]
+        blockers.append(b)
+    return sum(at.values()), blockers
 
 
 def takayama_complex(ideal: MonomialIdeal, degree: MultiDegree) -> SimplicialComplex:

@@ -2,6 +2,7 @@ import ast
 import copy
 import inspect
 import random
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import monolc.cech
 from monolc import (
     FieldSpec,
+    MonomialIdeal,
     MultiDegree,
     SparseMatrix,
     canonical_box,
@@ -352,6 +354,18 @@ class TestCohomologyDim:
         assert nonzero > 400 and fixed > 250, (nonzero, fixed)
 
 
+class TestDegreeType:
+    @pytest.mark.parametrize("call", [
+        lambda ideal, degree: cech_dims(ideal, degree, Q),
+        lambda ideal, degree: cech_strand(ideal, degree),
+        lambda ideal, degree: cech_piece_nonzero(ideal, degree, {1}),
+    ], ids=["cech_dims", "cech_strand", "cech_piece_nonzero"])
+    @pytest.mark.parametrize("degree", [(0, 0), [0, 0], None])
+    def test_degree_must_be_a_multidegree(self, call, degree):
+        with pytest.raises(ValueError, match="^degree .* is not a MultiDegree$"):
+            call(golden_ideal(), degree)
+
+
 class TestIndependence:
     def test_no_simplicial_machinery_imported(self):
         """The oracle must share only the ideal types and linalg (rank,
@@ -366,3 +380,15 @@ class TestIndependence:
                 modules.add(node.module or "")
         assert modules <= {"__future__", "itertools", "dataclasses",
                            "ideals", "linalg", "typing"}, modules
+
+    def test_never_reads_the_threshold_table(self):
+        """The simplicial route reads its blockers off MonomialIdeal._steps;
+        the oracle computes its own masks from the exponents and must not
+        read that table, by attribute or by name."""
+        assert isinstance(inspect.getattr_static(MonomialIdeal, "_steps"), cached_property)
+        tree = ast.parse(inspect.getsource(monolc.cech))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert "_steps" not in names

@@ -138,6 +138,12 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix.from_dense([[1, 0], [1]])
 
+    @pytest.mark.parametrize("data", [[1, 2], [[1, 2], 3], "ab", ["ab"], {0: [1]}, None],
+                             ids=["ints", "int_row", "string", "string_row", "mapping", "none"])
+    def test_from_dense_rejects_what_is_not_a_list_of_rows(self, data):
+        with pytest.raises(ValueError, match="^dense matrix .* is not a list of rows$"):
+            SparseMatrix.from_dense(data)
+
     def test_value_contract(self):
         mat = SparseMatrix(2, 2, {(0, 0): 1})
         assert mat == SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 0})

@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from monolc import (
+    DepthDim,
     FieldSpec,
     MultiDegree,
     SimplicialComplex,
@@ -136,6 +138,81 @@ class TestTakayamaComplex:
                         f"{side} at {degree.entries}: differ at {sorted(survivors ^ shifted)}")
                     degrees += 1
         assert degrees == 4232
+
+
+def blockers_by_definition(ideal, degree):
+    """The mask of the positions j with a_j >= 0, and per minimal
+    generator the mask of those with 0 <= a_j < e_j, read off the
+    exponents."""
+    a = degree.entries
+    wmask = sum(1 << j for j, v in enumerate(a) if v >= 0)
+    return wmask, [sum(1 << j for j, (v, e) in enumerate(zip(a, m.exponents)) if 0 <= v < e)
+                   for m in ideal.gens]
+
+
+class TestBlockers:
+    """takayama._blockers reads the ideal's threshold table; these hold it
+    to {j : 0 <= a_j < e_j} computed from the exponents."""
+
+    def test_equals_the_definition_on_the_box(self):
+        degrees = 0
+        for ideal in corpus(200):
+            if ideal.is_unit:
+                continue
+            for side in (ideal, polarize_ideal(ideal).ideal):
+                for degree in canonical_box(side):
+                    assert takayama._blockers(side, degree) == blockers_by_definition(
+                        side, degree), (side, degree)
+                    degrees += 1
+        assert degrees == 4232
+
+    def test_equals_the_definition_at_and_past_every_exponent(self):
+        """Negative entries, entries one below, at and one past each
+        exponent, and entries >= 10^9."""
+        degrees = 0
+        for seed, ideal in enumerate(corpus(200)):
+            if ideal.is_unit:
+                continue
+            exps = {e for m in ideal.gens for e in m.exponents}
+            values = sorted({-7, -1, 0, 10**9, 10**9 + 1, 10**18}
+                            | {v for e in exps for v in (e - 1, e, e + 1)})
+            points = list(itertools.product(values, repeat=ideal.n))
+            if len(points) > 200:
+                points = random.Random(seed).sample(points, 200)
+            for point in points:
+                degree = deg(*point)
+                assert takayama._blockers(ideal, degree) == blockers_by_definition(
+                    ideal, degree), (ideal, point)
+                degrees += 1
+        assert degrees > 10_000
+
+    def test_table_follows_distinct_exponents(self):
+        ideal = parse_ideal("vars x y z\ngens x^3*y^3*z, y^5")
+        assert ideal._steps == (((5,), (0b010, 0)), ((1, 3), (0b111, 0b011, 0)))
+        huge = parse_ideal("vars x y\ngens x^1000000000*y, y^2")
+        assert huge._steps == (((2,), (0b10, 0)), ((1, 10**9), (0b11, 0b01, 0)))
+
+    def test_huge_exponents_stay_cheap(self):
+        """One mask per distinct exponent, not per exponent value: 10^9
+        would not fit."""
+        start = time.perf_counter()
+        ideal = parse_ideal("vars x y\ngens x^1000000000*y, y^2")
+        parsed = time.perf_counter()
+        assert lc_dims(ideal, deg(5, 0), Q) == {}  # builds the table
+        dims = time.perf_counter()
+        assert depth_and_dim(ideal, Q) == DepthDim(depth=0, dim=1)
+        end = time.perf_counter()
+        assert max(parsed - start, dims - parsed, end - dims) < 1.0
+        assert lc_dims(ideal, deg(10**9 - 1, 1), Q) == {0: 1}  # y*x^(10^9 - 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda ideal, degree: takayama_complex(ideal, degree),
+        lambda ideal, degree: lc_dims(ideal, degree, Q),
+    ], ids=["takayama_complex", "lc_dims"])
+    @pytest.mark.parametrize("degree", [(0, 0), [0, 0], None])
+    def test_degree_must_be_a_multidegree(self, call, degree):
+        with pytest.raises(ValueError, match="^degree .* is not a MultiDegree$"):
+            call(golden_ideal(), degree)
 
 
 def faces_by_definition(ideal, degree):
