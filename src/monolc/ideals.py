@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import neg
 from typing import Iterable, Sequence
 
@@ -105,7 +104,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 class MonomialIdeal:
     """A monomial ideal in k[var_names], stored by its minimal generators.
 
-    `_steps`, built on first use, holds per minimal generator its
+    Building it computes `_rho` (see rho()) and `_steps` in one loop over
+    the generators' exponents.  `_steps` holds per generator its
     distinct positive exponents d_1 < ... < d_r and the masks (variable
     i at bit i - 1) of the variables with exponent >= d_k, for k = 1..r,
     and last 0, as none exceeds d_r.  Its size follows the distinct
@@ -114,8 +114,9 @@ class MonomialIdeal:
 
     var_names: tuple[str, ...]
     gens: tuple[Monomial, ...]
-    # rho of the minimal generators, computed once; see rho()
     _rho: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(self.var_names)
@@ -130,13 +131,24 @@ class MonomialIdeal:
         vars(self).update(vars(MonomialIdeal._trusted(names, gens)))
 
     @classmethod
-    def _trusted(cls, var_names: tuple[str, ...], gens: tuple[Monomial, ...],
-                 rho: tuple[int, ...] | None = None) -> "MonomialIdeal":
-        """Unchecked: distinct valid names; gens minimal, canonical, in that ring; rho theirs."""
-        if rho is None:
-            rho = tuple(map(max, zip([1] * len(var_names), *(m.exponents for m in gens))))
+    def _trusted(cls, var_names: tuple[str, ...], gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """Unchecked: distinct valid names; gens minimal, canonical, in that ring."""
+        rho = [1] * len(var_names)
+        steps = []
+        for m in gens:
+            at: dict[int, int] = {}  # exponent d > 0 -> the variables with exponent d
+            for i, e in enumerate(m.exponents):
+                if e:
+                    at[e] = at.get(e, 0) | 1 << i
+                    if e > rho[i]:
+                        rho[i] = e
+            ds = sorted(at)
+            masks = [0]  # from d_r down, the variables with exponent >= d
+            for d in reversed(ds):
+                masks.append(masks[-1] | at[d])
+            steps.append((tuple(ds), tuple(reversed(masks))))
         ideal = object.__new__(cls)
-        vars(ideal).update(var_names=var_names, gens=gens, _rho=rho)
+        vars(ideal).update(var_names=var_names, gens=gens, _rho=tuple(rho), _steps=tuple(steps))
         return ideal
 
     @property
@@ -146,21 +158,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return any(m.is_unit for m in self.gens)
-
-    @cached_property
-    def _steps(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        table = []
-        for m in self.gens:
-            at: dict[int, int] = {}  # exponent d > 0 -> the variables with exponent d
-            for i, e in enumerate(m.exponents):
-                if e:
-                    at[e] = at.get(e, 0) | 1 << i
-            ds = sorted(at)
-            masks = [0]  # from d_r down, the variables with exponent >= d
-            for d in reversed(ds):
-                masks.append(masks[-1] | at[d])
-            table.append((tuple(ds), tuple(reversed(masks))))
-        return tuple(table)
 
 
 def rho(ideal: MonomialIdeal) -> tuple[int, ...]:

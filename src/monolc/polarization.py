@@ -150,8 +150,7 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
             for j in range(threshold + 2, e + 1):
                 exps[ideal.n + (j - threshold - 2)] = 1
         gens.append(Monomial._trusted(tuple(exps)))
-    bounds = rho(ideal)[:var_index - 1] + (threshold + 1,) + rho(ideal)[var_index:] + (1,) * tail
-    return MonomialIdeal._trusted(names, tuple(sorted(gens, key=_canonical_key)), bounds)
+    return MonomialIdeal._trusted(names, tuple(sorted(gens, key=_canonical_key)))
 
 
 def depolarize_check(polarized: PolarizedIdeal, ideal: MonomialIdeal) -> bool:

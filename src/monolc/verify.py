@@ -146,8 +146,7 @@ def _boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[MonomialIdeal, tu
     if not degree.leq(top):
         raise ValueError(f"degree {degree.entries} exceeds rho - 1 = {top}")
     if any(v.startswith("x_") for v in ideal.var_names):
-        ideal = MonomialIdeal._trusted(tuple(f"x{i}" for i in range(1, ideal.n + 1)), ideal.gens,
-                                       bounds)
+        ideal = MonomialIdeal._trusted(tuple(f"x{i}" for i in range(1, ideal.n + 1)), ideal.gens)
     return ideal, bounds
 
 

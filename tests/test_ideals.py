@@ -162,6 +162,17 @@ def rho_by_definition(ideal):
     return tuple(max([1] + [g.exponents[i] for g in ideal.gens]) for i in range(ideal.n))
 
 
+def steps_by_definition(ideal):
+    """Per minimal generator, its distinct positive exponents d_1 < ... < d_r
+    and the masks of the variables with exponent >= d_k, then 0."""
+    table = []
+    for g in ideal.gens:
+        ds = sorted({e for e in g.exponents if e > 0})
+        masks = [sum(1 << i for i, e in enumerate(g.exponents) if e >= d) for d in ds]
+        table.append((tuple(ds), (*masks, 0)))
+    return tuple(table)
+
+
 class TestStoredRho:
     def reduction_ideals(self, ideal, monkeypatch):
         """Every restriction, partial polarization and x1..xn rename that
@@ -185,8 +196,9 @@ class TestStoredRho:
         return built
 
     def test_matches_a_recomputation(self, monkeypatch):
-        """Also on a twin of each ideal whose names start with x_, which
-        _boxed renames x1..xn, keeping the rho it already holds."""
+        """rho and the step table, on every ideal the library builds here;
+        also on a twin of each ideal whose names start with x_, which
+        _boxed renames x1..xn."""
         steps = renamed = 0
         for ideal in corpus(200):
             if ideal.is_unit:
@@ -199,12 +211,17 @@ class TestStoredRho:
                 for each in [start, polarize_ideal(start).ideal, *reduced]:
                     assert rho(each) == rho_by_definition(each), format_ideal(each)
                     assert rho_total(each) == sum(rho_by_definition(each))
+                    assert each._steps == steps_by_definition(each), format_ideal(each)
         assert steps > 2000 and renamed > 1000, (steps, renamed)
 
     def test_identity_ignores_it(self):
         ideal = parse_ideal("vars x y z\ngens x^3*y, y^2*z, x*z^2")
-        twin = MonomialIdeal(("x", "y", "z"), (m(1, 0, 2), m(3, 1, 0), m(0, 2, 1), m(3, 3, 3)))
-        assert ideal == twin and hash(ideal) == hash(twin)
+        for twin in (
+            MonomialIdeal(("x", "y", "z"), (m(1, 0, 2), m(3, 1, 0), m(0, 2, 1), m(3, 3, 3))),
+            MonomialIdeal(("x", "y", "z"), ideal.gens[::-1] + (m(2, 2, 2), m(1, 0, 2))),
+        ):
+            assert ideal == twin and hash(ideal) == hash(twin) and repr(ideal) == repr(twin)
+            assert twin._rho == ideal._rho and twin._steps == ideal._steps
         assert hash(ideal) == hash((ideal.var_names, ideal.gens))
         assert ideal != MonomialIdeal(("x", "y", "w"), ideal.gens)
         assert repr(ideal) == (
@@ -217,6 +234,9 @@ class TestStoredRho:
         for twin in (copy.copy(ideal), copy.deepcopy(ideal), pickle.loads(pickle.dumps(ideal))):
             assert twin == ideal and hash(twin) == hash(ideal) and repr(twin) == repr(ideal)
             assert rho(twin) == rho(ideal) == (3, 2, 2)
+            assert twin._steps == ideal._steps == (
+                ((1, 2), (0b101, 0b100, 0)), ((1, 2), (0b110, 0b010, 0)), ((1, 3), (0b011, 0b001, 0))
+            )
 
 
 class TestMonomialIdeal:

@@ -196,9 +196,9 @@ class TestBlockers:
         """One mask per distinct exponent, not per exponent value: 10^9
         would not fit."""
         start = time.perf_counter()
-        ideal = parse_ideal("vars x y\ngens x^1000000000*y, y^2")
+        ideal = parse_ideal("vars x y\ngens x^1000000000*y, y^2")  # builds the table
         parsed = time.perf_counter()
-        assert lc_dims(ideal, deg(5, 0), Q) == {}  # builds the table
+        assert lc_dims(ideal, deg(5, 0), Q) == {}
         dims = time.perf_counter()
         assert depth_and_dim(ideal, Q) == DepthDim(depth=0, dim=1)
         end = time.perf_counter()

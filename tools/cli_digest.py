@@ -13,6 +13,10 @@ exit code) it gave:
     python3 tools/cli_digest.py > after.txt    # in the other
     diff before.txt after.txt
 
+Its lines follow the job-output lines in tools/digests.txt; the
+docstring of tools/job_digest.py shows the diff that checks a tree
+against that file.
+
 It uses the standard library and the monolc and tests/ of its own
 checkout; pytest does not collect it.
 """

@@ -17,6 +17,16 @@ of those calls, so that two rank kernels can be shown to agree:
     python3 tools/job_digest.py > after.txt    # in the other
     diff before.txt after.txt
 
+tools/digests.txt holds the job-output lines, then the lines of
+tools/cli_digest.py, as the code computes them today; the counters and
+the rank digest change with the work done, so they are not in it.  To
+check one tree against it:
+
+    { python3 tools/job_digest.py | grep ' jobs$'; python3 tools/cli_digest.py; } \
+        | diff - tools/digests.txt
+
+tests/test_digests.py checks the job-output lines in-process.
+
 It uses the standard library, the monolc of its own checkout and
 bench/workloads.py and bench/spans.py, which it only imports; pytest
 does not collect it.
@@ -28,6 +38,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -92,14 +103,21 @@ def rank_digest(jobs: list[workloads.Job]) -> tuple[str, int]:
     return digest.hexdigest(), calls
 
 
-def main() -> None:
+def job_digests(seeds: tuple[int, ...] = SEEDS) -> Iterator[str]:
+    """Per workload, one line: the sha256 of every (seed, kind, field,
+    input text, output) of its jobs at the seeds, its name and the count."""
     for name, (make_jobs, _) in workloads.WORKLOADS.items():
         digest, count = hashlib.sha256(), 0
-        for seed in SEEDS:
+        for seed in seeds:
             for job in make_jobs(seed):
                 digest.update(repr((seed, job.kind, job.field, job.text, output(job))).encode())
                 count += 1
-        print(digest.hexdigest(), name, f"{count} jobs", flush=True)
+        yield f"{digest.hexdigest()} {name} {count} jobs"
+
+
+def main() -> None:
+    for line in job_digests():
+        print(line, flush=True)
     print(f"# counters of one traced pass at seed {SEEDS[0]}")
     for name, (make_jobs, _) in workloads.WORKLOADS.items():
         print(name, *(f"{k}={v}" for k, v in counters(make_jobs(SEEDS[0])).items()), flush=True)
