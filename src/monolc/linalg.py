@@ -86,6 +86,11 @@ class FieldSpec:
         return "q" if self.p is None else f"gf:{self.p}"
 
 
+def _check_field(field: object) -> None:
+    if not isinstance(field, FieldSpec):
+        raise ValueError(f"field {field!r} is not a FieldSpec")
+
+
 @dataclass(slots=True, repr=False)
 class SparseMatrix:
     """Nonzero int entries by row: by_row[r] lists row r's (column, value)
@@ -216,6 +221,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
 
 def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
     """Rank of the int matrix over the given field."""
+    _check_field(field)
     p = field.p
     if p is None:
         return _eliminate([dict(row) for row in matrix.by_row], None)

@@ -74,6 +74,8 @@ class PolarizedIdeal:
 def polarize_ideal(ideal: MonomialIdeal) -> PolarizedIdeal:
     """Polarize every minimal generator with block widths rho(I): its
     image has exponent 1 on (i, j) for j <= its i-th exponent."""
+    if not isinstance(ideal, MonomialIdeal):
+        raise ValueError(f"ideal {ideal!r} is not a MonomialIdeal")
     rho_vec = rho(ideal)
     names = polarized_var_names(rho_vec)
     gens = []

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .ideals import MonomialIdeal, MultiDegree, rho
-from .linalg import FieldSpec
+from .linalg import FieldSpec, _check_field
 from .simplicial import SimplicialComplex, reduced_cohomology_dims
 
 
@@ -96,6 +96,7 @@ def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict
     costs about its own number of faces; the nerve has at most 2^g, the
     complex 2^|V|, and the one with the smaller bound is built.
     """
+    _check_field(field)
     wmask, blockers = _blockers(ideal, degree)
     return _dims(ideal.n, wmask, blockers, field)
 
@@ -228,6 +229,7 @@ def _cells(
     later coordinate has a positive exponent in it, every degree below
     is void, and that subtree is skipped.
     """
+    _check_field(field)
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
     n, gens = ideal.n, [m.exponents for m in ideal.gens]

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,14 +11,19 @@ from monolc import (
     Mismatch,
     MonomialIdeal,
     MultiDegree,
+    SparseMatrix,
     VerificationReport,
     canonical_box,
+    cech_dims,
     degree_map,
     depth_and_dim,
     lc_dims,
+    lc_table,
+    oracle_table,
     parse_ideal,
     polarize_ideal,
     random_ideal,
+    rank,
     verify_depth_shift,
     verify_main_theorem,
     verify_reduction_chain,
@@ -360,3 +366,26 @@ class TestFailurePaths:
             Mismatch((), 0, before.depth + shift, after.depth + 1),
             Mismatch((), 1, before.dim + shift, after.dim - 1),
         )
+
+
+class TestArgumentTypes:
+    """A field given as its spec string, or an ideal as its text, is named
+    in a ValueError.  On (x) neither route ranks anything, and every Cech
+    strand is empty, a cone or one level, so no later use of the field
+    would catch it: the table would come back with field == 'q'."""
+
+    NOT_A_FIELD = "field 'q' is not a FieldSpec"
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda x: rank(SparseMatrix(1, 1, {(0, 0): 1}), "q"), NOT_A_FIELD),
+        (lambda x: lc_dims(x, deg(0), "q"), NOT_A_FIELD),
+        (lambda x: cech_dims(x, deg(0), "q"), NOT_A_FIELD),
+        (lambda x: lc_table(x, "q"), NOT_A_FIELD),
+        (lambda x: oracle_table(x, "q"), NOT_A_FIELD),
+        (lambda x: depth_and_dim(x, "q"), NOT_A_FIELD),
+        (lambda x: polarize_ideal("x^2"), "ideal 'x^2' is not a MonomialIdeal"),
+    ], ids=["rank", "lc_dims", "cech_dims", "lc_table", "oracle_table", "depth_and_dim",
+            "polarize_ideal"])
+    def test_names_the_argument(self, call, match):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            call(parse_ideal("vars x\ngens x"))
