@@ -16,17 +16,13 @@ survivors, not 2^n.  The strand holds only its nonempty levels, from
 |neg| up to the first empty one (no subset of any other size survives),
 and the coboundaries between them, which drop only free positions.
 
-cech_dims builds no strand whose cohomology is zero for a structural
-reason: an empty one (neg itself does not survive) or a cone, where some
-free position v has F | v surviving for every survivor F, so the
-survivors pair off as F and F | v.  Both are read off the generators'
-masks in O(g^2) bit tests for g generators; every other strand is built.
-
 This path shares nothing with the simplicial route except the ideal
 types and linalg: rank, and the coboundary assembly and cohomology count
-that tests hold to the definition.  Every coboundary of a built strand
-is checked for d o d = 0 over Z and then ranked, so the routes'
-agreement is evidence.
+that tests hold to the definition.  Every held coboundary is checked for
+d o d = 0 over Z and then ranked, so the routes' agreement is evidence.
+cech_dims ranks them from the top down, leaving out of each the rows
+that the kept rows one coboundary up show to be combinations of earlier
+rows (clearing, linalg docstring).
 """
 
 from __future__ import annotations
@@ -142,41 +138,20 @@ def _assert_complex(rows: list[list[list[tuple[int, int]]]], low: int) -> None:
                 raise AssertionError(f"d{p + 1} * d{p} is not zero in row {r}: {acc}")
 
 
-def _acyclic(neg: int, below: list[int], n: int) -> bool:
-    """Whether the strand is empty or a cone over a free position v, one
-    with F | v a survivor for every survivor F.
-
-    If F | v fails, some g through v has g - v inside F, so dropping F's
-    other free positions leaves the survivor neg | (g - v); and if that
-    survives, adding v to it fails.  It survives iff no generator's free
-    part (its below-mask less neg) lies inside g's free part less v.  So
-    v is an apex iff it lies in no minimal free part, and the strand is
-    empty iff some free part is empty."""
-    free = (1 << n) - 1 & ~neg
-    parts = {g & free for g in below}
-    if 0 in parts:
-        return True
-    union, minimal = 0, []
-    # by size, so a free part is minimal iff no kept one lies inside it
-    for r in sorted(parts, key=int.bit_count):
-        if all(map((~r).__and__, minimal)):
-            minimal.append(r)
-            union |= r
-            if union == free:
-                return False
-    return union != free
-
-
 def cech_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict[int, int]:
-    """All nonzero cohomology dimensions of the degree-a strand: none for
-    an empty strand or a cone, answered from the masks alone, and
-    otherwise those of the built, checked and ranked strand."""
+    """All nonzero cohomology dimensions of the degree-a strand."""
     _check_field(field)
-    if _acyclic(*_masks(ideal, degree), ideal.n):
-        return {}
     strand = cech_strand(ideal, degree)
-    # every row of a held coboundary has an entry: G minus any free bit survives
-    ranks = [rank(d, field) for d in strand.coboundaries]
+    # every row of a held coboundary has an entry: G minus any free bit
+    # survives.  From the top down, each map skips the rows at the last
+    # columns of the kept rows of the map above it (clearing).
+    ranks: list[int] = []
+    cleared: set[int] = set()
+    for d in reversed(strand.coboundaries):
+        pivots: set[int] = set()
+        ranks.append(rank(d, field, skip=cleared, pivots=pivots))
+        cleared = pivots
+    ranks.reverse()
     return {strand.low + p: h for p, h in enumerate(_cohomology(strand.levels, ranks)) if h}
 
 

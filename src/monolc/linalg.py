@@ -7,12 +7,22 @@ rule: each row in turn is reduced against the kept row with the same
 last column until that column is new, then kept under it, and the rank
 is the number of rows kept.  Every matrix the library ranks is a
 coboundary, and the last column is the standard pivot for those
-(Chen-Kerber's twist, Ripser).  Over GF(2) each row is read in one pass
-into an int bitmask, one bit per odd entry, and reduction is XOR.  Over
-Q and odd p one reduction serves both, on the rows as they are over Q
-and on their nonzero residues mod p over GF(p): it is fraction-free
-over Z, and over GF(p) each kept row is scaled so its pivot is 1, which
-leaves reduction mod p as the only modular step.
+(Chen-Kerber's twist, Ripser).  A row whose last column is new is kept
+as the matrix holds it, and put in the form reduction works on only when
+a later row is reduced against it.  Over GF(2) that form is an int
+bitmask, one bit per odd entry, and reduction is XOR.  Over Q and odd p
+one reduction serves both, on the rows as they are over Q and on their
+nonzero residues mod p over GF(p): it is fraction-free over Z, and over
+GF(p) each kept row is scaled so its pivot is 1, which leaves reduction
+mod p as the only modular step.
+
+rank can leave out rows that the caller knows to lie in the span of the
+rows before them, and report the kept rows' last columns.  The Cech
+route ranks a strand from its top coboundary down and uses both for
+clearing (Bauer-Kerber-Reininghaus, "Clear and compress", 2014): a
+kept row of the map out of a level is a combination of that map's rows,
+so d o d = 0 makes the row at its last column, in the map into the
+level, a combination of earlier rows.
 
 Both cohomology routes (simplicial and Cech) hand _coboundaries their
 consecutive nonempty levels of faces and the mask of the bits a face
@@ -26,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 
 def _is_prime(p: int) -> bool:
@@ -187,56 +197,88 @@ def _strip_gcd(row: dict[int, int]) -> None:
             row[c] //= g
 
 
-def _eliminate(rows: list[dict[int, int]], p: int | None) -> int:
-    """Rank of integer rows over Q (p is None) or GF(p); consumes rows."""
-    kept: dict[int, dict[int, int]] = {}  # by last column
-    for row in rows:
-        while row and (last := max(row)) in kept:
-            prow = kept[last]
-            f, pval = row[last], prow[last]
-            # row := scale_row * row - scale_piv * prow clears column last
-            g = math.gcd(f, pval)
-            scale_row, scale_piv = abs(pval) // g, (f if pval > 0 else -f) // g
-            if scale_row != 1:
-                for c in row:
-                    row[c] *= scale_row
-            for c, v in prow.items():
-                cur = row.get(c, 0) - scale_piv * v
-                if p is not None:
-                    cur %= p
-                if cur:
-                    row[c] = cur
-                elif c in row:
-                    del row[c]
-            if scale_row != 1:
-                _strip_gcd(row)
-        if row:
-            if p is not None and (pval := row[last]) != 1:
-                # a unit pivot keeps the fraction-free steps above out of GF(p)
-                inv = pow(pval, -1, p)
-                row = {c: v * inv % p for c, v in row.items()}
-            kept[last] = row
-    return len(kept)
+def _form(row: list[tuple[int, int]], p: int | None) -> int | dict[int, int]:
+    """A row, nonzero over the field, in the form reduction works on: over
+    GF(2) an int mask, one bit per odd entry; over GF(p) its nonzero
+    residues, scaled so the last is 1; over Q its entries."""
+    if p == 2:
+        return sum([1 << c for c, v in row if v & 1])
+    if p is None:
+        return dict(row)
+    form = {c: r for c, v in row if (r := v % p)}
+    return _monic(form, max(form), p)
 
 
-def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
-    """Rank of the int matrix over the given field."""
+def _monic(form: dict[int, int], last: int, p: int) -> dict[int, int]:
+    """GF(p) residues scaled so the entry at last is 1: a unit pivot keeps
+    the fraction-free steps of _keep out of GF(p)."""
+    if (pval := form[last]) == 1:
+        return form
+    inv = pow(pval, -1, p)
+    return {c: v * inv % p for c, v in form.items()}
+
+
+def _keep(row: list[tuple[int, int]], last: int, kept: dict, p: int | None) -> None:
+    """Reduce the row, whose last column over the field is last, against the
+    kept row with that last column until it is new, and keep what is left
+    under it.  A kept row still in the matrix's form is put in reduction's
+    form when first reduced against."""
+    work = _form(row, p)
+    while last in kept:
+        prow = kept[last]
+        if type(prow) is list:
+            prow = kept[last] = _form(prow, p)
+        if p == 2:
+            work ^= prow
+            last = work.bit_length() - 1
+            continue
+        f, pval = work[last], prow[last]
+        # work := scale_row * work - scale_piv * prow clears column last
+        g = math.gcd(f, pval)
+        scale_row, scale_piv = abs(pval) // g, (f if pval > 0 else -f) // g
+        if scale_row != 1:
+            for c in work:
+                work[c] *= scale_row
+        for c, v in prow.items():
+            cur = work.get(c, 0) - scale_piv * v
+            if p is not None:
+                cur %= p
+            if cur:
+                work[c] = cur
+            elif c in work:
+                del work[c]
+        if not work:
+            return
+        if scale_row != 1:
+            _strip_gcd(work)
+        last = max(work)
+    if work:
+        kept[last] = _monic(work, last, p) if p is not None and p != 2 else work
+
+
+def rank(matrix: SparseMatrix, field: FieldSpec, *,
+         skip: AbstractSet[int] = frozenset(), pivots: set[int] | None = None) -> int:
+    """Rank of the int matrix over the given field.
+
+    The rows whose indices are in skip are left out.  A caller may skip
+    only rows that lie in the span of the rows before them, which leaves
+    the rank as it is.  When pivots is a set, the last column of each
+    kept row is added to it."""
     _check_field(field)
     p = field.p
-    if p is None:
-        return _eliminate([dict(row) for row in matrix.by_row], None)
-    if p != 2:
-        return _eliminate([{c: r for c, v in row if (r := v % p)} for row in matrix.by_row], p)
-    # each row as an int mask, one bit per odd entry, reduced against the
-    # kept row with the same last column
-    kept: dict[int, int] = {}
-    for row in matrix.by_row:
-        m = 0
-        for c, v in row:
-            if v & 1:
-                m |= 1 << c
-        while (last := m.bit_length()) in kept:
-            m ^= kept[last]
-        if m:
-            kept[last] = m
+    kept: dict[int, list | int | dict[int, int]] = {}  # by last column
+    for r, row in enumerate(matrix.by_row):
+        if r in skip:
+            continue
+        for last, v in reversed(row):
+            if p is None or v % p:
+                break
+        else:
+            continue  # zero over the field
+        if last in kept:
+            _keep(row, last, kept, p)
+        else:
+            kept[last] = row  # put in reduction's form only if needed
+    if pivots is not None:
+        pivots.update(kept)
     return len(kept)

@@ -311,6 +311,46 @@ class TestRank:
                 assert rank(SparseMatrix.from_dense(data), FieldSpec.gf(p)) == dense_rank_oracle(
                     data, p), (p, data)
 
+    @pytest.mark.parametrize("p", [None, 2, 3, 32003], ids=str)
+    def test_pivots_are_the_last_columns_of_the_row_space(self, p):
+        """The kept rows' last columns are the columns c at which the rank
+        of the columns from c on exceeds the rank of those past c: the
+        last columns of the nonzero vectors in the row space."""
+        rng = random.Random(43)
+        for _ in range(40):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            data = [[rng.choice((0, 0, -3, -1, 1, 2, 3)) for _ in range(nc)] for _ in range(nr)]
+            pivots = set()
+            r = rank(SparseMatrix.from_dense(data), FieldSpec(p), pivots=pivots)
+
+            def from_column(c):
+                return dense_rank_oracle([row[c:] for row in data], p) if c < nc else 0
+
+            assert pivots == {c for c in range(nc) if from_column(c) > from_column(c + 1)}
+            assert r == len(pivots) == dense_rank_oracle(data, p)
+
+    @pytest.mark.parametrize("p", [None, 2, 3, 32003], ids=str)
+    def test_skipping_rows_in_the_span_of_earlier_rows(self, p):
+        """Leaving out rows that are combinations of the rows before them
+        changes neither the rank nor the pivots; any row left out is left
+        out of the count."""
+        rng = random.Random(47)
+        for _ in range(40):
+            nr, nc = rng.randint(2, 8), rng.randint(1, 5)
+            data = [[rng.choice((0, -1, 1, 2)) for _ in range(nc)] for _ in range(nr)]
+            mat, fld = SparseMatrix.from_dense(data), FieldSpec(p)
+            full = set()
+            r = rank(mat, fld, pivots=full)
+            spanned = {i for i in range(nr)
+                       if dense_rank_oracle(data[:i + 1], p) == dense_rank_oracle(data[:i], p)}
+            skip = {i for i in spanned if rng.random() < 0.7}
+            kept = set()
+            assert rank(mat, fld, skip=skip, pivots=kept) == r
+            assert kept == full
+            for i in set(range(nr)) - spanned:
+                rest = data[:i] + data[i + 1:]
+                assert rank(mat, fld, skip={i}) == dense_rank_oracle(rest, p), (data, i)
+
 
 def random_family(rng, n, fixed):
     """Random masks within bits 0..n-1, each holding `fixed`, closed under

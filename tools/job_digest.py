@@ -82,9 +82,9 @@ def rank_digest(jobs: list[workloads.Job]) -> tuple[str, int]:
     digest, calls = hashlib.sha256(), 0
 
     def recording(original):
-        def rank(matrix, field):
+        def rank(matrix, field, **kwargs):
             nonlocal calls
-            result = original(matrix, field)
+            result = original(matrix, field, **kwargs)
             digest.update(repr((str(field), matrix.rows, matrix.cols, matrix.by_row,
                                 result)).encode())
             calls += 1
