@@ -16,7 +16,6 @@ from .ideals import (
     minimalize,
     parse_ideal,
     rho,
-    rho_total,
 )
 from .linalg import FieldSpec, SparseMatrix, rank
 from .simplicial import (
@@ -46,7 +45,6 @@ from .polarization import (
 )
 from .cech import (
     CechStrand,
-    cech_cohomology_dim,
     cech_dims,
     cech_piece_nonzero,
     cech_strand,
@@ -77,7 +75,6 @@ __all__ = [
     "minimalize",
     "parse_ideal",
     "rho",
-    "rho_total",
     "FieldSpec",
     "SparseMatrix",
     "rank",
@@ -101,7 +98,6 @@ __all__ = [
     "polarize_ideal",
     "restrict",
     "CechStrand",
-    "cech_cohomology_dim",
     "cech_dims",
     "cech_piece_nonzero",
     "cech_strand",

@@ -154,13 +154,3 @@ def cech_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> di
     ranks.reverse()
     return {strand.low + p: h for p, h in enumerate(_cohomology(strand.levels, ranks)) if h}
 
-
-def cech_cohomology_dim(
-    ideal: MonomialIdeal, degree: MultiDegree, index: int, field: FieldSpec
-) -> int:
-    """dim_k H^i_m(S/I)_a computed without any simplicial machinery."""
-    if type(index) is not int:
-        raise ValueError(f"cohomological index {index!r} is not an int")
-    if index < 0:
-        raise ValueError("cohomological index must be non-negative")
-    return cech_dims(ideal, degree, field).get(index, 0)

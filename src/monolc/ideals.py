@@ -167,10 +167,6 @@ def rho(ideal: MonomialIdeal) -> tuple[int, ...]:
     return ideal._rho
 
 
-def rho_total(ideal: MonomialIdeal) -> int:
-    return sum(ideal._rho)
-
-
 @dataclass(frozen=True)
 class MultiDegree:
     """A point of Z^n grading the quotient ring."""

@@ -26,15 +26,6 @@ def _check_rho(rho_vec: Sequence[int], n: int) -> tuple[int, ...]:
     return vec
 
 
-def polarized_var_names(rho_vec: Sequence[int]) -> tuple[str, ...]:
-    """Generated names x_i_j, blocks by original variable, copies within."""
-    return tuple(
-        f"x_{i}_{j}"
-        for i, r in enumerate(rho_vec, start=1)
-        for j in range(1, r + 1)
-    )
-
-
 @dataclass(frozen=True)
 class PolarizedIdeal:
     """A fully polarized ideal plus the bookkeeping to map back."""
@@ -77,7 +68,8 @@ def polarize_ideal(ideal: MonomialIdeal) -> PolarizedIdeal:
     if not isinstance(ideal, MonomialIdeal):
         raise ValueError(f"ideal {ideal!r} is not a MonomialIdeal")
     rho_vec = rho(ideal)
-    names = polarized_var_names(rho_vec)
+    # x_i_j: blocks by original variable, copies within
+    names = tuple(f"x_{i}_{j}" for i, r in enumerate(rho_vec, 1) for j in range(1, r + 1))
     gens = []
     for m in ideal.gens:
         exps: list[int] = []
@@ -97,6 +89,8 @@ def degree_map(degree: MultiDegree, rho_vec: Sequence[int]) -> MultiDegree:
     Block i reads (0 repeated a_i+1, then -1s) when a_i >= 0, and all
     -1s when a_i < 0.  Requires a_i <= rho_i - 1 in every coordinate.
     """
+    if not isinstance(degree, MultiDegree):
+        raise ValueError(f"degree {degree!r} is not a MultiDegree")
     vec = _check_rho(rho_vec, degree.n)
     out: list[int] = []
     for a, r in zip(degree.entries, vec):

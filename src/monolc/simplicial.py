@@ -55,8 +55,8 @@ class SimplicialComplex:
         object.__setattr__(self, "masks", masks)
 
     @classmethod
-    def _from_masks(cls, n_vertices: int, masks: frozenset[int]) -> "SimplicialComplex":
-        """Trusted constructor: masks is a downward-closed family within bits 0..n-1."""
+    def _trusted(cls, n_vertices: int, masks: frozenset[int]) -> "SimplicialComplex":
+        """Unchecked: masks is a downward-closed family within bits 0..n-1."""
         cx = object.__new__(cls)
         object.__setattr__(cx, "n_vertices", n_vertices)
         object.__setattr__(cx, "masks", masks)
@@ -89,7 +89,7 @@ class SimplicialComplex:
             while sub:
                 faces.add(sub)
                 sub = (sub - 1) & top
-        return cls._from_masks(n_vertices, frozenset(faces))
+        return SimplicialComplex._trusted(n_vertices, frozenset(faces))
 
     @property
     def faces(self) -> frozenset[frozenset[int]]:

@@ -76,7 +76,7 @@ def _complex(n: int, wmask: int, blockers: list[int]) -> SimplicialComplex:
     faces = [] if 0 in blockers else [0]
     for bit in (1 << v for v in range(n) if wmask >> v & 1):
         faces += [f | bit for f in faces if all(b & ~(f | bit) for b in blockers)]
-    return SimplicialComplex._from_masks(n, frozenset(faces))
+    return SimplicialComplex._trusted(n, frozenset(faces))
 
 
 def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict[int, int]:
@@ -126,7 +126,7 @@ def _dims(n: int, wmask: int, blockers: list[int], field: FieldSpec) -> dict[int
         for face, union in list(union_of.items()):
             if union | b != wmask:
                 union_of[face | 1 << k] = union | b
-    nerve = SimplicialComplex._from_masks(len(minimal), frozenset(union_of))
+    nerve = SimplicialComplex._trusted(len(minimal), frozenset(union_of))
     top = size - 3 + shift
     return {top - j: d for j, d in reduced_cohomology_dims(nerve, field).items()}
 

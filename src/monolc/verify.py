@@ -137,6 +137,8 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
 def _boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[MonomialIdeal, tuple[int, ...]]:
     """Check that degree lies in the box of ideal; return the ideal, renamed
     x1..xn if a name might clash with a copy x_i_j, and rho(ideal)."""
+    if not isinstance(degree, MultiDegree):
+        raise ValueError(f"degree {degree!r} is not a MultiDegree")
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
     bounds = rho(ideal)

@@ -15,7 +15,6 @@ from monolc import (
     MultiDegree,
     SimplicialComplex,
     canonical_box,
-    cech_cohomology_dim,
     cech_dims,
     degree_map,
     depolarize_check,
@@ -85,7 +84,7 @@ def test_criterion_3_golden_example_table_and_depth():
     corner = MultiDegree((-1, -1))
     assert takayama_complex(ideal, corner).is_void
     assert lc_dim(ideal, corner, 1, Q) == 0
-    assert cech_cohomology_dim(ideal, corner, 1, Q) == 0
+    assert cech_dims(ideal, corner, Q).get(1, 0) == 0
 
     before = depth_and_dim(ideal, Q)
     assert (before.depth, before.dim) == (0, 1)

@@ -108,20 +108,23 @@ def _trusted_uses() -> list[tuple[str, str]]:
 def test_only_the_coboundary_kernel_builds_unchecked_matrices():
     """SparseMatrix._trusted skips validation, so only the code that
     guarantees the rows' column order, linalg._coboundaries, reaches it.
-    Every other _trusted is read off an ideals value type by name, so no
-    alias can hide a SparseMatrix among them."""
+    Every other _trusted is read off an ideals value type or
+    SimplicialComplex by name, so no alias can hide a SparseMatrix among
+    them."""
     uses = _trusted_uses()
     matrices = [where for where, owner in uses if owner == "SparseMatrix"]
     assert matrices == ["linalg.py:_coboundaries"], uses
     owners = {owner for _, owner in uses}
-    assert owners <= {"SparseMatrix", "Monomial", "MultiDegree", "MonomialIdeal"}, uses
+    assert owners <= {"SparseMatrix", "Monomial", "MultiDegree", "MonomialIdeal",
+                      "SimplicialComplex"}, uses
 
 
 def test_only_library_built_values_skip_validation():
-    """Monomial, MultiDegree and MonomialIdeal._trusted skip the public
-    constructors' checks (and an ideal's minimalize), so each use is
-    listed here: each builds from parts that were checked already, and a
-    new one has to be added on purpose."""
+    """Monomial, MultiDegree, MonomialIdeal and SimplicialComplex._trusted
+    skip the public constructors' checks (an ideal's minimalize, a
+    complex's downward closure), so each use is listed here: each builds
+    from parts that were checked already, and a new one has to be added
+    on purpose."""
     uses = sorted(f"{where}:{owner}" for where, owner in _trusted_uses()
                   if owner != "SparseMatrix")
     assert uses == [
@@ -131,6 +134,9 @@ def test_only_library_built_values_skip_validation():
         "polarization.py:partial_polarize:MonomialIdeal",
         "polarization.py:restrict:Monomial",
         "polarization.py:restrict:MonomialIdeal",
+        "simplicial.py:from_facets:SimplicialComplex",  # closed by enumerating subsets
+        "takayama.py:_complex:SimplicialComplex",
+        "takayama.py:_dims:SimplicialComplex",  # the nerve, grown closed
         "takayama.py:canonical_box:MultiDegree",
         "takayama.py:lc_table:MultiDegree",
         "verify.py:_boxed:MonomialIdeal",

@@ -13,9 +13,9 @@ from monolc import (
     MultiDegree,
     SimplicialComplex,
     canonical_box,
-    cech_cohomology_dim,
     cech_dims,
     cech_strand,
+    degree_map,
     depth_and_dim,
     is_cone,
     lc_dim,
@@ -28,6 +28,8 @@ from monolc import (
     rho,
     takayama_complex,
     verify_main_theorem,
+    verify_reduction_chain,
+    verify_reduction_to_degree_zero,
 )
 from monolc import takayama
 from conftest import corpus, edge_ideal, golden_ideal, many_generators
@@ -208,7 +210,11 @@ class TestBlockers:
     @pytest.mark.parametrize("call", [
         lambda ideal, degree: takayama_complex(ideal, degree),
         lambda ideal, degree: lc_dims(ideal, degree, Q),
-    ], ids=["takayama_complex", "lc_dims"])
+        lambda ideal, degree: verify_reduction_chain(ideal, degree, Q),
+        lambda ideal, degree: verify_reduction_to_degree_zero(ideal, degree, Q),
+        lambda ideal, degree: degree_map(degree, rho(ideal)),
+    ], ids=["takayama_complex", "lc_dims", "verify_reduction_chain",
+            "verify_reduction_to_degree_zero", "degree_map"])
     @pytest.mark.parametrize("degree", [(0, 0), [0, 0], None])
     def test_degree_must_be_a_multidegree(self, call, degree):
         with pytest.raises(ValueError, match="^degree .* is not a MultiDegree$"):
@@ -417,15 +423,10 @@ class TestLcDim:
         assert lc_dim(zero, deg(0), 1, Q) == 0
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cohomological index must be non-negative$"):
             lc_dim(golden_ideal(), deg(0, 0), -1, Q)
 
-    def test_oracle_rejects_negative_index_alike(self):
-        for dim in (lc_dim, cech_cohomology_dim):
-            with pytest.raises(ValueError, match="^cohomological index must be non-negative$"):
-                dim(golden_ideal(), deg(0, 0), -1, Q)
-
-    @pytest.mark.parametrize("dim", [lc_dim, cech_cohomology_dim])
+    @pytest.mark.parametrize("dim", [lc_dim])
     @pytest.mark.parametrize("index", [1.5, 1.0, True, False, "1"],
                              ids=["1.5", "1.0", "True", "False", "str"])
     def test_rejects_an_index_that_is_not_an_int(self, dim, index):
