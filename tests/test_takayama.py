@@ -423,8 +423,19 @@ class TestLcDim:
         assert lc_dim(zero, deg(0), 1, Q) == 0
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="^cohomological index must be non-negative$"):
+        with pytest.raises(ValueError):
             lc_dim(golden_ideal(), deg(0, 0), -1, Q)
+
+    def test_oracle_rejects_negative_index_alike(self):
+        """The Čech oracle takes no index, so it cannot reject -1 itself; its
+        dims map, like lc_dims's, holds no negative index to answer one."""
+        ideal = golden_ideal()
+        with pytest.raises(ValueError, match="^cohomological index must be non-negative$"):
+            lc_dim(ideal, deg(0, 0), -1, Q)
+        for a in canonical_box(ideal):
+            dims = cech_dims(ideal, a, Q)
+            assert dims == lc_dims(ideal, a, Q)
+            assert all(i >= 0 for i in dims)
 
     @pytest.mark.parametrize("dim", [lc_dim])
     @pytest.mark.parametrize("index", [1.5, 1.0, True, False, "1"],
