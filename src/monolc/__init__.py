@@ -6,6 +6,8 @@ correspondence between an ideal and its polarization, and verifiers
 that sweep both sides of the correspondence exactly.
 """
 
+import importlib
+
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -60,8 +62,6 @@ from .verify import (
     verify_reduction_chain,
     verify_reduction_to_degree_zero,
 )
-# bound only for bench/workloads.py, which reads m.cli._merge_checks
-from . import cli
 
 __version__ = "0.1.0"
 
@@ -111,3 +111,12 @@ __all__ = [
     "verify_reduction_chain",
     "verify_reduction_to_degree_zero",
 ]
+
+
+def __getattr__(name: str):
+    # monolc.cli loads on first use, for bench/workloads.py, which reads
+    # m.cli._merge_checks: `import monolc` leaves argparse unloaded, and
+    # `python -m monolc.cli` finds no monolc.cli in sys.modules to warn about
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -110,13 +110,19 @@ class MonomialIdeal:
     i at bit i - 1) of the variables with exponent >= d_k, for k = 1..r,
     and last 0, as none exceeds d_r.  Its size follows the distinct
     exponents, never their magnitude.  The simplicial route reads its
-    blockers off it; the Cech oracle does not."""
+    blockers off it; the Cech oracle does not.
+
+    `_derived` is a private memo of the ideals the reduction moves build
+    from this one, filled on first use: partial_polarize keys its result
+    by (j, t), polarize_ideal and verify's x1..xn rename by a name.  It
+    dies with the ideal, and stays out of ==, hash and repr."""
 
     var_names: tuple[str, ...]
     gens: tuple[Monomial, ...]
     _rho: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
         init=False, repr=False, compare=False)
+    _derived: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(self.var_names)
@@ -148,7 +154,8 @@ class MonomialIdeal:
                 masks.append(masks[-1] | at[d])
             steps.append((tuple(ds), tuple(reversed(masks))))
         ideal = object.__new__(cls)
-        vars(ideal).update(var_names=var_names, gens=gens, _rho=tuple(rho), _steps=tuple(steps))
+        vars(ideal).update(var_names=var_names, gens=gens, _rho=tuple(rho),
+                           _steps=tuple(steps), _derived={})
         return ideal
 
     @property

@@ -40,8 +40,7 @@ from typing import AbstractSet, Mapping
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+    """For p >= 2, which FieldSpec checks first."""
     if p % 2 == 0:
         return p == 2
     d = 3

@@ -64,9 +64,12 @@ class PolarizedIdeal:
 
 def polarize_ideal(ideal: MonomialIdeal) -> PolarizedIdeal:
     """Polarize every minimal generator with block widths rho(I): its
-    image has exponent 1 on (i, j) for j <= its i-th exponent."""
+    image has exponent 1 on (i, j) for j <= its i-th exponent.  Built
+    once per ideal and kept in its memo."""
     if not isinstance(ideal, MonomialIdeal):
         raise ValueError(f"ideal {ideal!r} is not a MonomialIdeal")
+    if (known := ideal._derived.get("polarized")) is not None:
+        return known
     rho_vec = rho(ideal)
     # x_i_j: blocks by original variable, copies within
     names = tuple(f"x_{i}_{j}" for i, r in enumerate(rho_vec, 1) for j in range(1, r + 1))
@@ -80,7 +83,8 @@ def polarize_ideal(ideal: MonomialIdeal) -> PolarizedIdeal:
     # a minimal system stays minimal under polarization
     if len(out.gens) != len(ideal.gens):
         raise AssertionError("polarization changed the number of minimal generators")
-    return PolarizedIdeal(ideal=out, origin_n=ideal.n, rho=rho_vec)
+    ideal._derived["polarized"] = polarized = PolarizedIdeal(out, ideal.n, rho_vec)
+    return polarized
 
 
 def degree_map(degree: MultiDegree, rho_vec: Sequence[int]) -> MultiDegree:
@@ -123,7 +127,8 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
     appended after the original variables.  Capping one variable is an
     order embedding on exponents, so the generators stay minimal and
     distinct and only need sorting back into canonical order; rho_i
-    becomes t+1, and each copy's is 1.
+    becomes t+1, and each copy's is 1.  The result is kept in the
+    ideal's memo, so a second call returns the same ideal.
     """
     for arg in (var_index, threshold):
         if not isinstance(arg, int) or isinstance(arg, bool):
@@ -133,6 +138,8 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
     r = rho(ideal)[var_index - 1]
     if not 0 <= threshold < r - 1:
         raise ValueError(f"threshold {threshold} outside 0..{r - 2}")
+    if (known := ideal._derived.get((var_index, threshold))) is not None:
+        return known
     tail = r - threshold - 1
     names = ideal.var_names + tuple(f"x_{var_index}_{j}" for j in range(threshold + 2, r + 1))
     if len(set(names)) != len(names):
@@ -146,7 +153,9 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
             for j in range(threshold + 2, e + 1):
                 exps[ideal.n + (j - threshold - 2)] = 1
         gens.append(Monomial._trusted(tuple(exps)))
-    return MonomialIdeal._trusted(names, tuple(sorted(gens, key=_canonical_key)))
+    capped = MonomialIdeal._trusted(names, tuple(sorted(gens, key=_canonical_key)))
+    ideal._derived[var_index, threshold] = capped
+    return capped
 
 
 def depolarize_check(polarized: PolarizedIdeal, ideal: MonomialIdeal) -> bool:

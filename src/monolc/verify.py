@@ -148,7 +148,12 @@ def _boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[MonomialIdeal, tu
     if not degree.leq(top):
         raise ValueError(f"degree {degree.entries} exceeds rho - 1 = {top}")
     if any(v.startswith("x_") for v in ideal.var_names):
-        ideal = MonomialIdeal._trusted(tuple(f"x{i}" for i in range(1, ideal.n + 1)), ideal.gens)
+        # kept in the ideal's memo, so the steps at every degree share
+        # one renamed ideal and with it its memo of step ideals
+        if (renamed := ideal._derived.get("x1..xn")) is None:
+            names = tuple(f"x{i}" for i in range(1, ideal.n + 1))
+            ideal._derived["x1..xn"] = renamed = MonomialIdeal._trusted(names, ideal.gens)
+        ideal = renamed
     return ideal, bounds
 
 

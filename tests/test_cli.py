@@ -461,14 +461,24 @@ class TestInternalErrors:
 
 
 class TestModuleEntry:
-    def test_python_dash_m(self):
+    @staticmethod
+    def parse_stdin(module: str) -> subprocess.CompletedProcess:
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "monolc", "parse", "-"],
+        return subprocess.run(
+            [sys.executable, "-m", module, "parse", "-"],
             input=GOLDEN, env=env, capture_output=True, text=True, timeout=60,
         )
+
+    def test_python_dash_m(self):
+        proc = self.parse_stdin("monolc")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, GOLDEN, "")
+
+    def test_python_dash_m_cli_writes_nothing_to_stderr(self):
+        """`import monolc` does not load monolc.cli, so runpy finds it
+        absent and prints no RuntimeWarning before running it."""
+        proc = self.parse_stdin("monolc.cli")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, GOLDEN, "")
 
     def test_closed_stdout_exits_141_quietly(self):

@@ -98,6 +98,8 @@ class TestDegreeMap:
             degree_map(deg(3, 0), (3, 2))
         with pytest.raises(ValueError):
             degree_map(deg(0,), (3, 2))
+        with pytest.raises(ValueError, match="rho entries must be positive integers"):
+            degree_map(deg(0, 0), "ab")
 
     def test_block_sum_formula(self):
         for a, r in [((1, -2), (3, 2)), ((0, 0, -1), (2, 1, 4)), ((-1,), (5,))]:

@@ -2,7 +2,9 @@
 standard library; this walks the package source and holds it to that."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,10 +66,11 @@ def test_value_types_take_identity_from_dataclass():
 
 def test_library_takes_no_name_from_the_cli():
     """cli.py is the command surface on top of the library.  Only
-    __main__.py takes a name from it; __init__.py binds the module, which
-    bench/ reads, and nothing else imports it.  Absolute imports are held
-    to the standard library above, so only relative ones can reach cli."""
-    found, bound = [], False
+    __main__.py takes a name from it; __init__.py binds the module on
+    first use, which bench/ reads, and nothing else imports it.  Absolute
+    imports are held to the standard library above, so only relative
+    ones can reach cli."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__main__.py":
             continue
@@ -79,14 +82,18 @@ def test_library_takes_no_name_from_the_cli():
                 if node.module == "cli":
                     found.append(f"{where}: takes {names} from cli")
                 elif node.module is None and "cli" in names:
-                    if path.name != "__init__.py":
-                        found.append(f"{where}: imports cli")
-                    bound = True
+                    found.append(f"{where}: imports cli")
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id == "cli":
                     found.append(f"{where}: reads cli.{node.attr}")
-    assert bound, "__init__.py no longer binds monolc.cli"
     assert not found, found
+    assert monolc.cli.__name__ == "monolc.cli", "monolc.cli does not resolve"
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, monolc; print('monolc.cli' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (probe.returncode, probe.stdout) == (0, "False\n"), probe.stderr
 
 
 def _trusted_uses() -> list[tuple[str, str]]:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 from dataclasses import replace
 
@@ -21,9 +23,11 @@ from monolc import (
     lc_table,
     oracle_table,
     parse_ideal,
+    partial_polarize,
     polarize_ideal,
     random_ideal,
     rank,
+    rho,
     verify_depth_shift,
     verify_main_theorem,
     verify_reduction_chain,
@@ -187,6 +191,79 @@ class TestCallerIdeal:
                     reports.append(verify_reduction_to_degree_zero(ideal, degree, fld))
                 for report in reports:
                     assert (report.ideal, report.field) == (ideal, fld)
+
+
+def memo_ideals() -> list[MonomialIdeal]:
+    """Two corpus ideals with a variable of rho 3 or two capped variables,
+    each with its twin named x_..., which the chain renames x1..xn."""
+    out = []
+    for ideal in (corpus(18)[11], corpus(18)[17]):
+        twin = MonomialIdeal(tuple("x_" + v for v in ideal.var_names), ideal.gens)
+        out += [ideal, twin]
+    return out
+
+
+MEMO_IDS = ["corpus11", "corpus11-x_", "corpus17", "corpus17-x_"]
+
+
+class TestDerivedMemo:
+    """Each ideal keeps the ideals partial_polarize, polarize_ideal and
+    the chain's rename build from it, and hands the same one out again."""
+
+    @pytest.mark.parametrize("ideal", memo_ideals(), ids=MEMO_IDS)
+    def test_chain_builds_each_step_ideal_once(self, ideal, monkeypatch):
+        calls = []
+
+        def spy(base, j, t):
+            capped = partial_polarize(base, j, t)
+            calls.append((base, j, t, capped))  # held, so no id is reused
+            return capped
+
+        monkeypatch.setattr(verify_mod, "partial_polarize", spy)
+        for degree in canonical_box(ideal):
+            assert verify_reduction_chain(ideal, degree, Q).passed
+        bases = {id(base) for base, _, _, _ in calls}
+        built = {(j, t): id(capped) for _, j, t, capped in calls}
+        assert len(bases) == 1 and len(calls) > len(built)
+        assert len(built) == len({id(capped) for _, _, _, capped in calls})
+        assert set(built) == {(j, t) for j, r in enumerate(rho(ideal), 1) for t in range(r - 1)}
+        base = calls[0][0]
+        assert len(base._derived) <= sum(r - 1 for r in rho(ideal)) + 2
+
+    @pytest.mark.parametrize("ideal", memo_ideals(), ids=MEMO_IDS)
+    def test_a_hit_equals_a_fresh_build(self, ideal):
+        for j, r in enumerate(rho(ideal), 1):
+            for t in range(r - 1):
+                first = partial_polarize(ideal, j, t)
+                assert partial_polarize(ideal, j, t) is first
+                fresh = partial_polarize(MonomialIdeal(ideal.var_names, ideal.gens), j, t)
+                assert first == fresh and rho(first) == rho(fresh)
+
+    @pytest.mark.parametrize("ideal", memo_ideals(), ids=MEMO_IDS)
+    def test_polarizes_once(self, ideal, monkeypatch):
+        assert polarize_ideal(ideal) is polarize_ideal(ideal)
+        seen = []
+
+        def spy(base):
+            seen.append(polarize_ideal(base))
+            return seen[-1]
+
+        monkeypatch.setattr(verify_mod, "polarize_ideal", spy)
+        assert verify_main_theorem(ideal, Q).passed and verify_depth_shift(ideal, Q).passed
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    @pytest.mark.parametrize("ideal", memo_ideals(), ids=MEMO_IDS)
+    def test_memo_stays_out_of_identity(self, ideal):
+        for degree in canonical_box(ideal):
+            verify_reduction_chain(ideal, degree, Q)
+        polarize_ideal(ideal)
+        fresh = MonomialIdeal(ideal.var_names, ideal.gens)
+        assert ideal._derived and not fresh._derived
+        assert ideal == fresh and hash(ideal) == hash(fresh) and repr(ideal) == repr(fresh)
+        assert "_derived" not in repr(ideal)
+        for twin in (pickle.loads(pickle.dumps(ideal)), copy.deepcopy(ideal)):
+            assert twin == ideal and hash(twin) == hash(ideal) and rho(twin) == rho(ideal)
+            assert polarize_ideal(twin) == polarize_ideal(ideal)
 
 
 class TestDepthShift:
