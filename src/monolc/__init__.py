@@ -7,6 +7,7 @@ that sweep both sides of the correspondence exactly.
 """
 
 import importlib
+import types
 
 from .ideals import (
     Monomial,
@@ -65,52 +66,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Monomial",
-    "MonomialIdeal",
-    "MultiDegree",
-    "ParseError",
-    "format_ideal",
-    "format_monomial",
-    "minimalize",
-    "parse_ideal",
-    "rho",
-    "FieldSpec",
-    "SparseMatrix",
-    "rank",
-    "SimplicialComplex",
-    "euler_characteristic_reduced",
-    "format_complex",
-    "is_cone",
-    "reduced_cohomology_dims",
-    "DepthDim",
-    "LCTable",
-    "canonical_box",
-    "depth_and_dim",
-    "lc_dim",
-    "lc_dims",
-    "lc_table",
-    "takayama_complex",
-    "PolarizedIdeal",
-    "degree_map",
-    "depolarize_check",
-    "partial_polarize",
-    "polarize_ideal",
-    "restrict",
-    "CechStrand",
-    "cech_dims",
-    "cech_piece_nonzero",
-    "cech_strand",
-    "oracle_table",
-    "CheckResult",
-    "Mismatch",
-    "VerificationReport",
-    "random_ideal",
-    "verify_depth_shift",
-    "verify_main_theorem",
-    "verify_reduction_chain",
-    "verify_reduction_to_degree_zero",
-]
+# the public names that the imports above bind, in their order
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
 
 
 def __getattr__(name: str):

@@ -115,7 +115,8 @@ class MonomialIdeal:
     `_derived` is a private memo of the ideals the reduction moves build
     from this one, filled on first use: partial_polarize keys its result
     by (j, t), polarize_ideal and verify's x1..xn rename by a name.  It
-    dies with the ideal, and stays out of ==, hash and repr."""
+    dies with the ideal, and stays out of ==, hash and repr; it is not
+    pickled, so a pickle or a copy starts a fresh memo."""
 
     var_names: tuple[str, ...]
     gens: tuple[Monomial, ...]
@@ -157,6 +158,9 @@ class MonomialIdeal:
         vars(ideal).update(var_names=var_names, gens=gens, _rho=tuple(rho),
                            _steps=tuple(steps), _derived={})
         return ideal
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "_derived": {}}
 
     @property
     def n(self) -> int:

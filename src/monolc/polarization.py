@@ -31,8 +31,12 @@ class PolarizedIdeal:
     """A fully polarized ideal plus the bookkeeping to map back."""
 
     ideal: MonomialIdeal
-    origin_n: int
     rho: tuple[int, ...]
+
+    @property
+    def origin_n(self) -> int:
+        """The variable count of the ideal it was polarized from."""
+        return len(self.rho)
 
     @property
     def rho_total(self) -> int:
@@ -83,7 +87,7 @@ def polarize_ideal(ideal: MonomialIdeal) -> PolarizedIdeal:
     # a minimal system stays minimal under polarization
     if len(out.gens) != len(ideal.gens):
         raise AssertionError("polarization changed the number of minimal generators")
-    ideal._derived["polarized"] = polarized = PolarizedIdeal(out, ideal.n, rho_vec)
+    ideal._derived["polarized"] = polarized = PolarizedIdeal(out, rho_vec)
     return polarized
 
 

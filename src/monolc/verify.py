@@ -9,8 +9,8 @@ bad input raises ValueError, the unit ideal (a zero quotient) included.
 A reduction step is a tuple (name, ideal, degree, shift): the
 dimensions before it at index i must equal those of the step's ideal
 at its degree at index i + shift.  Partial polarization names its
-copies x_i_j, so the steps run on the ideal renamed x1..xn when a name
-starts with x_; the reports carry the caller's ideal.
+copies x_i_j, so the steps always run on a copy of the ideal named
+x1..xn, built once per ideal; the reports carry the caller's ideal.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
 
 
 def _boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[MonomialIdeal, tuple[int, ...]]:
-    """Check that degree lies in the box of ideal; return the ideal, renamed
-    x1..xn if a name might clash with a copy x_i_j, and rho(ideal)."""
+    """Check that degree lies in the box of ideal; return its copy named
+    x1..xn, which no copy x_i_j can clash with, and rho(ideal)."""
     if not isinstance(degree, MultiDegree):
         raise ValueError(f"degree {degree!r} is not a MultiDegree")
     if ideal.is_unit:
@@ -147,14 +147,12 @@ def _boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[MonomialIdeal, tu
         raise ValueError("degree length does not match variable count")
     if not degree.leq(top):
         raise ValueError(f"degree {degree.entries} exceeds rho - 1 = {top}")
-    if any(v.startswith("x_") for v in ideal.var_names):
-        # kept in the ideal's memo, so the steps at every degree share
-        # one renamed ideal and with it its memo of step ideals
-        if (renamed := ideal._derived.get("x1..xn")) is None:
-            names = tuple(f"x{i}" for i in range(1, ideal.n + 1))
-            ideal._derived["x1..xn"] = renamed = MonomialIdeal._trusted(names, ideal.gens)
-        ideal = renamed
-    return ideal, bounds
+    # kept in the ideal's memo, so the steps at every degree share one
+    # renamed ideal and with it its memo of step ideals
+    if (renamed := ideal._derived.get("x1..xn")) is None:
+        names = tuple(f"x{i}" for i in range(1, ideal.n + 1))
+        ideal._derived["x1..xn"] = renamed = MonomialIdeal._trusted(names, ideal.gens)
+    return renamed, bounds
 
 
 def _cappable(degree: MultiDegree, bounds: tuple[int, ...]) -> list[int]:

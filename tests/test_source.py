@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import monolc
@@ -158,3 +159,17 @@ def test_readme_names_every_export():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = [name for name in monolc.__all__ if not re.search(rf"\b{name}\b", readme)]
     assert not missing, missing
+
+
+def test_exports_are_the_names_the_init_imports_bind():
+    """__init__.py writes each export once, in its `from .x import`
+    block, and builds __all__ from the names that block binds; so any
+    other import that binds a public name, such as `from typing import
+    Sequence`, would leak it into __all__ and fail here."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert monolc.__all__ == imported
+    assert not [name for name in imported if name.startswith("_")
+                or isinstance(getattr(monolc, name), types.ModuleType)], imported

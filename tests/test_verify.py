@@ -195,7 +195,7 @@ class TestCallerIdeal:
 
 def memo_ideals() -> list[MonomialIdeal]:
     """Two corpus ideals with a variable of rho 3 or two capped variables,
-    each with its twin named x_..., which the chain renames x1..xn."""
+    each with its twin named x_...; the chain renames both x1..xn."""
     out = []
     for ideal in (corpus(18)[11], corpus(18)[17]):
         twin = MonomialIdeal(tuple("x_" + v for v in ideal.var_names), ideal.gens)
@@ -208,7 +208,8 @@ MEMO_IDS = ["corpus11", "corpus11-x_", "corpus17", "corpus17-x_"]
 
 class TestDerivedMemo:
     """Each ideal keeps the ideals partial_polarize, polarize_ideal and
-    the chain's rename build from it, and hands the same one out again."""
+    the chain's rename build from it, hands the same one out again, and
+    leaves them out of pickles and copies."""
 
     @pytest.mark.parametrize("ideal", memo_ideals(), ids=MEMO_IDS)
     def test_chain_builds_each_step_ideal_once(self, ideal, monkeypatch):
@@ -229,6 +230,9 @@ class TestDerivedMemo:
         assert set(built) == {(j, t) for j, r in enumerate(rho(ideal), 1) for t in range(r - 1)}
         base = calls[0][0]
         assert len(base._derived) <= sum(r - 1 for r in rho(ideal)) + 2
+        # every ideal's steps run on its one x1..xn copy, not only an x_ named one's
+        assert base.var_names == tuple(f"x{i}" for i in range(1, ideal.n + 1))
+        assert list(ideal._derived) == ["x1..xn"] and ideal._derived["x1..xn"] is base
 
     @pytest.mark.parametrize("ideal", memo_ideals(), ids=MEMO_IDS)
     def test_a_hit_equals_a_fresh_build(self, ideal):
@@ -261,9 +265,12 @@ class TestDerivedMemo:
         assert ideal._derived and not fresh._derived
         assert ideal == fresh and hash(ideal) == hash(fresh) and repr(ideal) == repr(fresh)
         assert "_derived" not in repr(ideal)
+        assert len(pickle.dumps(ideal)) == len(pickle.dumps(fresh))
         for twin in (pickle.loads(pickle.dumps(ideal)), copy.deepcopy(ideal)):
+            assert twin._derived == {}
             assert twin == ideal and hash(twin) == hash(ideal) and rho(twin) == rho(ideal)
             assert polarize_ideal(twin) == polarize_ideal(ideal)
+        assert ideal._derived and copy.copy(ideal)._derived == {}
 
 
 class TestDepthShift:
