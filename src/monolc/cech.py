@@ -32,7 +32,7 @@ from itertools import compress
 from operator import lt
 from typing import Iterable
 
-from .ideals import MonomialIdeal, MultiDegree
+from .ideals import MonomialIdeal, MultiDegree, _check_ideal
 from .linalg import FieldSpec, SparseMatrix, _check_field, _coboundaries, _cohomology, rank
 
 
@@ -140,6 +140,7 @@ def _assert_complex(rows: list[list[list[tuple[int, int]]]], low: int) -> None:
 
 def cech_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict[int, int]:
     """All nonzero cohomology dimensions of the degree-a strand."""
+    _check_ideal(ideal)
     _check_field(field)
     strand = cech_strand(ideal, degree)
     # every row of a held coboundary has an entry: G minus any free bit

@@ -168,7 +168,13 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return any(m.is_unit for m in self.gens)
+        # a minimal generating set holds the unit monomial only alone
+        return len(self.gens) == 1 and not any(self.gens[0].exponents)
+
+
+def _check_ideal(ideal: object) -> None:
+    if not isinstance(ideal, MonomialIdeal):
+        raise ValueError(f"ideal {ideal!r} is not a MonomialIdeal")
 
 
 def rho(ideal: MonomialIdeal) -> tuple[int, ...]:

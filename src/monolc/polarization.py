@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ideals import Monomial, MonomialIdeal, MultiDegree, _canonical_key, minimalize, rho
+from .ideals import (Monomial, MonomialIdeal, MultiDegree, _canonical_key, _check_ideal,
+                     minimalize, rho)
 
 
 def _check_rho(rho_vec: Sequence[int], n: int) -> tuple[int, ...]:
@@ -70,8 +71,7 @@ def polarize_ideal(ideal: MonomialIdeal) -> PolarizedIdeal:
     """Polarize every minimal generator with block widths rho(I): its
     image has exponent 1 on (i, j) for j <= its i-th exponent.  Built
     once per ideal and kept in its memo."""
-    if not isinstance(ideal, MonomialIdeal):
-        raise ValueError(f"ideal {ideal!r} is not a MonomialIdeal")
+    _check_ideal(ideal)
     if (known := ideal._derived.get("polarized")) is not None:
         return known
     rho_vec = rho(ideal)
@@ -99,9 +99,14 @@ def degree_map(degree: MultiDegree, rho_vec: Sequence[int]) -> MultiDegree:
     """
     if not isinstance(degree, MultiDegree):
         raise ValueError(f"degree {degree!r} is not a MultiDegree")
-    vec = _check_rho(rho_vec, degree.n)
+    return _degree_map(degree, _check_rho(rho_vec, degree.n))
+
+
+def _degree_map(degree: MultiDegree, rho_vec: tuple[int, ...]) -> MultiDegree:
+    """degree_map for a rho vector already known to be valid and as long
+    as the degree, such as a PolarizedIdeal's rho."""
     out: list[int] = []
-    for a, r in zip(degree.entries, vec):
+    for a, r in zip(degree.entries, rho_vec):
         if a >= r:
             raise ValueError(f"degree entry {a} not below block width {r}")
         zeros = a + 1 if a >= 0 else 0

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .ideals import MonomialIdeal, MultiDegree, rho
+from .ideals import MonomialIdeal, MultiDegree, _check_ideal, rho
 from .linalg import FieldSpec, _check_field
 from .simplicial import SimplicialComplex, reduced_cohomology_dims
 
@@ -43,16 +43,19 @@ def _blockers(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, list[int]
     a_j >= 0."""
     if not isinstance(degree, MultiDegree):
         raise ValueError(f"degree {degree!r} is not a MultiDegree")
-    if degree.n != ideal.n:
+    if len(degree.entries) != len(ideal.var_names):
         raise ValueError("degree length does not match variable count")
     at: dict[int, int] = {}  # value v >= 0 -> the positions where a_j = v
-    for i, v in enumerate(degree.entries):
+    bit = 1
+    for v in degree.entries:
         if v >= 0:
-            at[v] = at.get(v, 0) | 1 << i
+            at[v] = at.get(v, 0) | bit
+        bit <<= 1
+    values = at.items()
     blockers = []
     for ds, masks in ideal._steps:
         b = 0
-        for v, pos in at.items():
+        for v, pos in values:
             b |= pos & masks[bisect_right(ds, v)]
         blockers.append(b)
     return sum(at.values()), blockers
@@ -96,6 +99,7 @@ def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict
     costs about its own number of faces; the nerve has at most 2^g, the
     complex 2^|V|, and the one with the smaller bound is built.
     """
+    _check_ideal(ideal)
     _check_field(field)
     wmask, blockers = _blockers(ideal, degree)
     return _dims(ideal.n, wmask, blockers, field)
@@ -103,21 +107,34 @@ def lc_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> dict
 
 def _dims(n: int, wmask: int, blockers: list[int], field: FieldSpec) -> dict[int, int]:
     """lc_dims at the degree with non-negative positions wmask and these
-    blockers, one per minimal generator of an ideal in n variables."""
+    blockers, one per minimal generator of an ideal in n variables.
+
+    The minimal blockers come from one pass over the blockers in
+    ascending order.  A proper subset is a smaller int, so it comes
+    first, and a dropped one contains a kept one; so a blocker is minimal
+    iff it contains none of those kept before it.  A repeat contains its
+    earlier copy and drops out the same way.  `minimal` stays ascending."""
     if not all(blockers):
         return {}  # the void complex
-    size = wmask.bit_count()
-    shift = n - size + 1
-    # drop repeats and every blocker that properly contains another
-    minimal = sorted({b for b in blockers if not any(c & b == c != b for c in blockers)})
+    minimal: list[int] = []
     once = twice = 0  # the vertices in at least one, and in at least two
-    for b in minimal:
-        twice |= once & b
-        once |= b
+    for b in sorted(blockers):
+        for c in minimal:
+            if c & b == c:
+                break
+        else:
+            minimal.append(b)
+            twice |= once & b
+            once |= b
     if once != wmask:
         return {}  # a cone over a vertex in no minimal blocker
-    if all(b & ~twice for b in minimal):
-        return {size - 1 - len(minimal) + shift: 1}  # a sphere
+    for b in minimal:
+        if not b & ~twice:
+            break
+    else:  # a sphere: H~^{|V|-1-g}, shifted by n - |V| + 1
+        return {n - len(minimal): 1}
+    size = wmask.bit_count()
+    shift = n - size + 1
     if len(minimal) >= size:
         cx = _complex(n, wmask, minimal)
         return {j + shift: d for j, d in reduced_cohomology_dims(cx, field).items()}

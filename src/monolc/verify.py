@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from .cech import cech_dims
 from .ideals import Monomial, MonomialIdeal, MultiDegree, format_ideal, rho
 from .linalg import FieldSpec
-from .polarization import degree_map, partial_polarize, polarize_ideal, restrict
+from .polarization import _degree_map, partial_polarize, polarize_ideal, restrict
 from .simplicial import is_cone
 from .takayama import LCTable, box_table, canonical_box, depth_and_dim, lc_dims, takayama_complex
 
@@ -121,7 +121,7 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
     window: list[Mismatch] = []
     for degree in box:
         lhs = lc_dims(ideal, degree, field)
-        alpha = degree_map(degree, polarized.rho)
+        alpha = _degree_map(degree, polarized.rho)
         rhs = lc_dims(polarized.ideal, alpha, field)
         main.extend(_compare(degree, lhs, rhs, shift, range(n + 1))[0])
         for idx, d in rhs.items():
@@ -224,7 +224,7 @@ def _walk(ideal: MonomialIdeal, degree: MultiDegree) -> Iterator[Step]:
         if degree.entries != top:
             raise AssertionError(f"terminal degree {degree.entries} is not rho - 1")
         polarized = polarize_ideal(ideal)
-        alpha = degree_map(degree, polarized.rho)
+        alpha = _degree_map(degree, polarized.rho)
         if any(alpha.entries):
             raise AssertionError(f"terminal degree maps to {alpha.entries}, not 0")
         shift = polarized.rho_total - ideal.n

@@ -261,6 +261,14 @@ class TestMonomialIdeal:
         assert not zero.gens and not zero.is_unit
         assert unit.is_unit and unit.gens
 
+    def test_is_unit_agrees_with_the_generator_wise_definition(self):
+        """is_unit reads the minimal generating set, which holds the unit
+        monomial only as its sole generator; a unit among others counts."""
+        for ideal in corpus(60):
+            assert ideal.is_unit == any(g.is_unit for g in ideal.gens), ideal
+        unit = MonomialIdeal(("x", "y"), (m(1, 0), m(0, 0), m(1, 1)))
+        assert unit.is_unit and unit.gens == (m(0, 0),)
+
     def test_structural_equality(self):
         a = MonomialIdeal(("x", "y"), (m(2, 0), m(1, 1)))
         b = MonomialIdeal(("x", "y"), (m(1, 1), m(3, 0), m(2, 0)))

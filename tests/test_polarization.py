@@ -17,6 +17,7 @@ from monolc import (
     restrict,
     rho,
 )
+from monolc.polarization import _degree_map
 from conftest import corpus, golden_ideal, many_generators
 
 
@@ -100,6 +101,21 @@ class TestDegreeMap:
             degree_map(deg(0,), (3, 2))
         with pytest.raises(ValueError, match="rho entries must be positive integers"):
             degree_map(deg(0, 0), "ab")
+
+    def test_helper_equals_degree_map_over_corpus_boxes(self):
+        """verify maps each boxed degree with the unchecked helper and the
+        rho vector of its PolarizedIdeal; the public entry point checks
+        rho first and must give the same degree."""
+        degrees = 0
+        for ideal in corpus(200):
+            if ideal.is_unit:
+                continue
+            rho_vec = polarize_ideal(ideal).rho
+            for degree in canonical_box(ideal):
+                assert _degree_map(degree, rho_vec) == degree_map(degree, rho_vec), (
+                    ideal, degree)
+                degrees += 1
+        assert degrees > 1000
 
     def test_block_sum_formula(self):
         for a, r in [((1, -2), (3, 2)), ((0, 0, -1), (2, 1, 4)), ((-1,), (5,))]:

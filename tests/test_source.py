@@ -137,7 +137,7 @@ def test_only_library_built_values_skip_validation():
                   if owner != "SparseMatrix")
     assert uses == [
         "ideals.py:__post_init__:MonomialIdeal",  # after the constructor's own checks
-        "polarization.py:degree_map:MultiDegree",
+        "polarization.py:_degree_map:MultiDegree",
         "polarization.py:partial_polarize:Monomial",
         "polarization.py:partial_polarize:MonomialIdeal",
         "polarization.py:restrict:Monomial",

@@ -408,6 +408,93 @@ class TestNerveRoute:
         assert sizes
 
 
+def dims_by_quadratic_minimal(n, wmask, blockers, field):
+    """_dims with the minimal blockers found by their definition: drop
+    repeats and every blocker that properly contains another, testing
+    each against all the others, then sort.  The cone, sphere, walk and
+    nerve that follow are _dims's, calling the walk and the homology
+    through the module so that a spy sees both."""
+    if not all(blockers):
+        return {}
+    size = wmask.bit_count()
+    shift = n - size + 1
+    minimal = sorted({b for b in blockers if not any(c & b == c != b for c in blockers)})
+    once = twice = 0
+    for b in minimal:
+        twice |= once & b
+        once |= b
+    if once != wmask:
+        return {}
+    if all(b & ~twice for b in minimal):
+        return {size - 1 - len(minimal) + shift: 1}
+    if len(minimal) >= size:
+        cx = takayama._complex(n, wmask, minimal)
+        return {j + shift: d for j, d in takayama.reduced_cohomology_dims(cx, field).items()}
+    union_of = {0: 0}
+    for k, b in enumerate(minimal):
+        for face, union in list(union_of.items()):
+            if union | b != wmask:
+                union_of[face | 1 << k] = union | b
+    nerve = SimplicialComplex._trusted(len(minimal), frozenset(union_of))
+    top = size - 3 + shift
+    return {top - j: d for j, d in takayama.reduced_cohomology_dims(nerve, field).items()}
+
+
+class TestMinimalBlockers:
+    """_dims finds the minimal blockers in one ascending pass; it must
+    give what the quadratic definition gives, and build the same walk
+    (with the same blocker list) or the same nerve on the way."""
+
+    def random_blockers(self, rng):
+        """Up to 10 masks of 2 or 3 of n <= 8 variables, V their union and
+        now and then one vertex more, each mask followed at random by a
+        superset within V (often a proper one) and by a repeat; shuffled."""
+        n = rng.randint(1, 8)
+        bits = [1 << j for j in range(n)]
+        drawn = [sum(rng.sample(bits, min(n, rng.randint(2, 3))))
+                 for _ in range(rng.randint(1, 10))]
+        wmask = sum(bit for bit in bits if any(b & bit for b in drawn) or rng.random() < 0.05)
+        inside = [bit for bit in bits if wmask & bit]
+        blockers = []
+        for b in drawn:
+            blockers.append(b)
+            if rng.random() < 0.5:
+                blockers.append(b | rng.choice(inside))
+            if rng.random() < 0.3:
+                blockers.append(b)
+        rng.shuffle(blockers)
+        return n, wmask, blockers
+
+    def test_one_pass_equals_the_quadratic_definition(self, monkeypatch):
+        calls = []
+
+        def walk(n, wmask, minimal):
+            calls.append(("walk", wmask, list(minimal)))
+            return complex_of(n, wmask, minimal)
+
+        def homology(cx, field):
+            calls.append(("homology", cx))
+            return homology_of(cx, field)
+
+        complex_of, homology_of = takayama._complex, takayama.reduced_cohomology_dims
+        monkeypatch.setattr(takayama, "_complex", walk)
+        monkeypatch.setattr(takayama, "reduced_cohomology_dims", homology)
+        rng, routes = random.Random(33), Counter()
+        for _ in range(2000):
+            n, wmask, blockers = self.random_blockers(rng)
+            for field in (Q, F2):
+                calls.clear()
+                dims = takayama._dims(n, wmask, list(blockers), field)
+                seen = list(calls)
+                calls.clear()
+                expected = dims_by_quadratic_minimal(n, wmask, blockers, field)
+                assert (dims, seen) == (expected, calls), (n, bin(wmask), blockers)
+            routes["walk" if seen and seen[0][0] == "walk" else "nerve" if seen
+                   else "sphere" if dims else "cone"] += 1
+        for route in ("cone", "sphere", "walk", "nerve"):
+            assert routes[route] >= 100, routes
+
+
 class TestLcDim:
     def test_golden_values(self):
         ideal = golden_ideal()

@@ -468,8 +468,10 @@ class TestArgumentTypes:
         (lambda x: oracle_table(x, "q"), NOT_A_FIELD),
         (lambda x: depth_and_dim(x, "q"), NOT_A_FIELD),
         (lambda x: polarize_ideal("x^2"), "ideal 'x^2' is not a MonomialIdeal"),
+        (lambda x: lc_dims("x", deg(0), Q), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: cech_dims("x", deg(0), Q), "ideal 'x' is not a MonomialIdeal"),
     ], ids=["rank", "lc_dims", "cech_dims", "lc_table", "oracle_table", "depth_and_dim",
-            "polarize_ideal"])
+            "polarize_ideal", "lc_dims_ideal", "cech_dims_ideal"])
     def test_names_the_argument(self, call, match):
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             call(parse_ideal("vars x\ngens x"))
