@@ -3,11 +3,13 @@ depth, verify, fuzz.  No library module takes a name from it, and
 bench/ reads `_merge_checks`.
 
 Run as `monolc` or `python -m monolc`.  Each `_cmd_*` handler returns
-(exit code, JSON value, text), and `main` alone writes the JSON or the
-text that `--format` asks for.  Exit codes: 0 success or
-verification pass, 1 verification failure, 2 usage or input errors,
-3 internal error (a broken invariant or any unexpected exception),
-130 interrupted, 141 stdout closed by its reader (128 + SIGPIPE).
+(exit code, JSON value, text), and `main` writes the JSON or the text
+that `--format` asks for; `table` and `oracle` return no value and
+write every format themselves, JSON by `LCTable.to_json()`.  Exit
+codes: 0 success or verification pass, 1 verification failure, 2 usage
+or input errors, 3 internal error (a broken invariant or any unexpected
+exception), 130 interrupted, 141 stdout closed by its reader (128 +
+SIGPIPE).
 """
 
 from __future__ import annotations
@@ -113,14 +115,16 @@ def _cmd_complex(args) -> tuple[int, object, str]:
 
 def _cmd_table(args) -> tuple[int, object, str]:
     table = args.route(_load_ideal(args.input), FieldSpec.parse(args.field))
-    if args.format == "tsv":
+    if args.format == "json":
+        text = table.to_json()
+    elif args.format == "tsv":
         text = table.to_tsv()
     else:
         lines = [f"vars {' '.join(table.ideal.var_names)}", f"field {table.field}"]
         for deg, i, d in table.entries:
             lines.append(f"({','.join(map(str, deg.entries))}) i={i} dim={d}")
         text = "\n".join(lines) + "\n"
-    return 0, table.to_json_dict(), text
+    return 0, None, text
 
 
 def _cmd_depth(args) -> tuple[int, object, str]:
@@ -230,7 +234,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, value, text = args.func(args)
-        if args.format == "json":
+        if args.format == "json" and value is not None:
             text = json.dumps(value, indent=2) + "\n"
         sys.stdout.write(text)
         return code

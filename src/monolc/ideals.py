@@ -322,7 +322,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
             if toks[i][1] != "*":
                 break
             i += 1
-        gens.append(Monomial(tuple(exps)))
+        gens.append(Monomial._trusted(tuple(exps)))
         kind, word, col = toks[i]
         if kind != "end":
             if word != ",":
@@ -330,4 +330,6 @@ def parse_ideal(text: str) -> MonomialIdeal:
             i += 1
             if toks[i][0] == "end":
                 raise ParseError("trailing comma", lineno, toks[i][2])
-    return MonomialIdeal(tuple(names), tuple(gens))
+    # the checks above are the constructors': names distinct and valid,
+    # exponents from [0-9]+, every vector of length n
+    return MonomialIdeal._trusted(tuple(names), tuple(minimalize(gens)))

@@ -25,7 +25,7 @@ import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .ideals import MonomialIdeal, MultiDegree, _check_ideal, rho
 from .linalg import FieldSpec, _check_field
@@ -162,6 +162,7 @@ def canonical_box(ideal: MonomialIdeal) -> list[MultiDegree]:
 
     Every degree with some a_i outside this window either repeats a
     boxed value (after truncating negatives to -1) or vanishes."""
+    _check_ideal(ideal)
     ranges = [range(-1, r) for r in rho(ideal)]
     return [MultiDegree._trusted(t) for t in itertools.product(*ranges)]
 
@@ -201,13 +202,31 @@ class LCTable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The bytes of json.dumps(self.to_json_dict(), indent=2) + "\\n",
+        written directly: with indent set, json runs its pure-Python
+        encoder.  Each string still goes through json.dumps."""
+        entries = [
+            f'{{\n      "degree": {_json_list(map(str, deg.entries), 6)},\n'
+            f'      "i": {i},\n      "dim": {d}\n    }}'
+            for deg, i, d in self.entries
+        ]
+        return (f'{{\n  "vars": {_json_list(map(json.dumps, self.ideal.var_names), 2)},\n'
+                f'  "field": {json.dumps(str(self.field))},\n'
+                f'  "entries": {_json_list(entries, 2)}\n}}\n')
 
     def to_tsv(self) -> str:
         lines = ["degree\ti\tdim"]
         for deg, i, d in self.entries:
             lines.append(f"{','.join(map(str, deg.entries))}\t{i}\t{d}")
         return "\n".join(lines) + "\n"
+
+
+def _json_list(items: Iterable[str], indent: int) -> str:
+    """A JSON array of already encoded items, laid out as
+    json.dumps(..., indent=2) lays out one whose "]" is indent spaces in."""
+    inner = ",\n" + " " * (indent + 2)
+    body = inner.join(items)
+    return f"[{inner[1:]}{body}\n{' ' * indent}]" if body else "[]"
 
 
 def _check(dims: dict[int, int], n: int, degree: tuple) -> None:
@@ -221,6 +240,7 @@ def _check(dims: dict[int, int], n: int, degree: tuple) -> None:
 def box_table(ideal: MonomialIdeal, field: FieldSpec, dims_of: Callable) -> LCTable:
     """Sweep the canonical box with dims_of(ideal, degree, field), a map
     index -> dimension of the nonzero pieces, and record every one."""
+    _check_ideal(ideal)
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
     entries = []
@@ -246,6 +266,7 @@ def _cells(
     later coordinate has a positive exponent in it, every degree below
     is void, and that subtree is skipped.
     """
+    _check_ideal(ideal)
     _check_field(field)
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")

@@ -21,7 +21,7 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .cech import cech_dims
-from .ideals import Monomial, MonomialIdeal, MultiDegree, format_ideal, rho
+from .ideals import Monomial, MonomialIdeal, MultiDegree, _check_ideal, format_ideal, rho
 from .linalg import FieldSpec
 from .polarization import _degree_map, partial_polarize, polarize_ideal, restrict
 from .simplicial import is_cone
@@ -111,6 +111,7 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
     A second check confirms the polarized side never carries cohomology
     outside the shifted window [rho - n, rho].
     """
+    _check_ideal(ideal)
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
     n = ideal.n

@@ -19,7 +19,7 @@ from monolc import (
     oracle_table,
     parse_ideal,
 )
-from conftest import edge_ideal, golden_ideal
+from conftest import corpus, edge_ideal, golden_ideal
 
 GOLDEN = "vars x y\ngens x^2, x*y\n"
 
@@ -176,6 +176,20 @@ class TestTable:
                 ],
             }
         )
+
+    @pytest.mark.parametrize("field", ["q", "gf:2", "gf:32003"])
+    @pytest.mark.parametrize("command, route", [("table", lc_table), ("oracle", oracle_table)])
+    def test_json_is_to_json(self, capsys, tmp_path, command, route, field):
+        """--format json prints the table's own to_json(), the bytes the
+        API returns."""
+        ideals = [golden_ideal()] + [i for i in corpus(12) if not i.is_unit]
+        for ideal in ideals:
+            path = tmp_path / "ideal.txt"
+            path.write_text(format_ideal(ideal))
+            code, out, err = run(capsys, command, str(path), "--format", "json",
+                                 "--field", field)
+            table = route(ideal, FieldSpec.parse(field))
+            assert (code, out, err) == (0, table.to_json(), "")
 
     def test_tsv(self, capsys, golden_file):
         code, out, _ = run(capsys, "table", golden_file, "--format", "tsv")

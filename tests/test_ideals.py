@@ -455,10 +455,15 @@ class TestFormatting:
             "vars x\ngens",
             "vars a b c\ngens a^3, a*b*c^2, b^2",
             "vars x\ngens 1",
+            "vars x y z\ngens x*x*y, x^2*y, y^3*z^0, x^3*y^2*z, 1*z^2",
         ]
         for text in texts:
             ideal = parse_ideal(text)
-            assert parse_ideal(format_ideal(ideal)) == ideal
+            again = parse_ideal(format_ideal(ideal))
+            assert again == ideal
+            assert (again._rho, again._steps) == (ideal._rho, ideal._steps)
+            built = MonomialIdeal(ideal.var_names, ideal.gens)
+            assert (built._rho, built._steps) == (ideal._rho, ideal._steps)
 
     def test_canonical_print(self):
         ideal = parse_ideal("vars x y\ngens x*y, x^2")

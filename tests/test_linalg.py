@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -7,7 +8,7 @@ from math import comb
 import pytest
 
 from monolc import FieldSpec, SparseMatrix, rank
-from monolc.linalg import _coboundaries, _cohomology
+from monolc.linalg import _coboundaries, _cohomology, _is_prime
 from conftest import transposed
 
 Q = FieldSpec.rationals()
@@ -99,6 +100,25 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec.gf(2**31 + 11)
         assert FieldSpec.gf(2147483629).p == 2147483629
+
+    @staticmethod
+    def is_prime_by_trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    def test_is_prime_agrees_with_trial_division(self):
+        """Every p below 200,000 and the last 2,000 below 2^31, where
+        FieldSpec's range ends."""
+        for p in [*range(2, 200_000), *range(2**31 - 2_000, 2**31)]:
+            assert _is_prime(p) == self.is_prime_by_trial_division(p), p
+
+    @pytest.mark.parametrize("p", [2047, 1373653, 25326001])
+    def test_is_prime_rejects_strong_pseudoprimes(self, p):
+        """Strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5: each
+        needs a later base of Miller-Rabin to be caught."""
+        assert not self.is_prime_by_trial_division(p)
+        assert not _is_prime(p)
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            FieldSpec.gf(p)
 
     @pytest.mark.parametrize("p", [True, "3"], ids=repr)
     def test_characteristic_must_be_an_integer(self, p):

@@ -137,6 +137,8 @@ def test_only_library_built_values_skip_validation():
                   if owner != "SparseMatrix")
     assert uses == [
         "ideals.py:__post_init__:MonomialIdeal",  # after the constructor's own checks
+        "ideals.py:parse_ideal:Monomial",  # after the parser's own checks
+        "ideals.py:parse_ideal:MonomialIdeal",
         "polarization.py:_degree_map:MultiDegree",
         "polarization.py:partial_polarize:Monomial",
         "polarization.py:partial_polarize:MonomialIdeal",

@@ -10,6 +10,8 @@ import pytest
 from monolc import (
     DepthDim,
     FieldSpec,
+    LCTable,
+    MonomialIdeal,
     MultiDegree,
     SimplicialComplex,
     canonical_box,
@@ -605,6 +607,23 @@ class TestLcTable:
                 {"degree": [1, 0], "i": 0, "dim": 1},
             ],
         }
+
+    @pytest.mark.parametrize("field", [Q, F2, FieldSpec.gf(32003)], ids=str)
+    def test_to_json_is_the_bytes_json_dumps_writes(self, field):
+        """to_json writes its text itself; it must be json.dumps's layout
+        byte for byte: tables from both routes, one with one variable,
+        one with none, and tables with no entries."""
+        ideals = [i for i in corpus(200) + many_generators(10) if not i.is_unit]
+        tables = [route(ideal, field) for ideal in ideals for route in (lc_table, oracle_table)]
+        tables += [
+            lc_table(parse_ideal("vars x\ngens x^3"), field),
+            lc_table(MonomialIdeal((), ()), field),
+            LCTable(golden_ideal(), field, ()),
+            LCTable(MonomialIdeal((), ()), field, ()),
+        ]
+        assert any(not table.entries for table in tables)
+        for table in tables:
+            assert table.to_json() == json.dumps(table.to_json_dict(), indent=2) + "\n"
 
     def test_tsv(self):
         table = lc_table(golden_ideal(), Q)

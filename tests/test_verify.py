@@ -470,8 +470,16 @@ class TestArgumentTypes:
         (lambda x: polarize_ideal("x^2"), "ideal 'x^2' is not a MonomialIdeal"),
         (lambda x: lc_dims("x", deg(0), Q), "ideal 'x' is not a MonomialIdeal"),
         (lambda x: cech_dims("x", deg(0), Q), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: canonical_box("x"), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: lc_table("x", Q), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: oracle_table("x", Q), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: depth_and_dim("x", Q), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: verify_main_theorem("x", Q), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: verify_depth_shift("x", Q), "ideal 'x' is not a MonomialIdeal"),
     ], ids=["rank", "lc_dims", "cech_dims", "lc_table", "oracle_table", "depth_and_dim",
-            "polarize_ideal", "lc_dims_ideal", "cech_dims_ideal"])
+            "polarize_ideal", "lc_dims_ideal", "cech_dims_ideal", "canonical_box_ideal",
+            "lc_table_ideal", "oracle_table_ideal", "depth_and_dim_ideal",
+            "verify_main_theorem_ideal", "verify_depth_shift_ideal"])
     def test_names_the_argument(self, call, match):
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             call(parse_ideal("vars x\ngens x"))
