@@ -79,11 +79,11 @@ def polarize_ideal(ideal: MonomialIdeal) -> PolarizedIdeal:
     names = tuple(f"x_{i}_{j}" for i, r in enumerate(rho_vec, 1) for j in range(1, r + 1))
     gens = []
     for m in ideal.gens:
-        exps: list[int] = []
+        exps: tuple[int, ...] = ()
         for e, r in zip(m.exponents, rho_vec):
-            exps.extend([1] * e + [0] * (r - e))
-        gens.append(Monomial(tuple(exps)))
-    out = MonomialIdeal(names, tuple(gens))
+            exps += (1,) * e + (0,) * (r - e)
+        gens.append(Monomial._trusted(exps))
+    out = MonomialIdeal._trusted(names, tuple(minimalize(gens)))
     # a minimal system stays minimal under polarization
     if len(out.gens) != len(ideal.gens):
         raise AssertionError("polarization changed the number of minimal generators")
@@ -99,31 +99,47 @@ def degree_map(degree: MultiDegree, rho_vec: Sequence[int]) -> MultiDegree:
     """
     if not isinstance(degree, MultiDegree):
         raise ValueError(f"degree {degree!r} is not a MultiDegree")
-    return _degree_map(degree, _check_rho(rho_vec, degree.n))
+    return _degree_map(degree, _windows(_check_rho(rho_vec, degree.n)))
 
 
-def _degree_map(degree: MultiDegree, rho_vec: tuple[int, ...]) -> MultiDegree:
-    """degree_map for a rho vector already known to be valid and as long
-    as the degree, such as a PolarizedIdeal's rho."""
-    out: list[int] = []
-    for a, r in zip(degree.entries, rho_vec):
-        if a >= r:
+Windows = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _windows(rho_vec: Sequence[int]) -> Windows:
+    """Per block width r, the pair (r, (0,)*r + (-1,)*r): every block
+    that degree_map writes for it is a slice of length r of the window."""
+    return tuple((r, (0,) * r + (-1,) * r) for r in rho_vec)
+
+
+def _degree_map(degree: MultiDegree, windows: Windows) -> MultiDegree:
+    """degree_map for the windows of a rho vector already known to be
+    valid and as long as the degree, such as a PolarizedIdeal's rho."""
+    out: tuple[int, ...] = ()
+    for a, (r, w) in zip(degree.entries, windows):
+        if a < 0:
+            out += w[r:]
+        elif a < r:
+            out += w[r - 1 - a : 2 * r - 1 - a]
+        else:
             raise ValueError(f"degree entry {a} not below block width {r}")
-        zeros = a + 1 if a >= 0 else 0
-        out.extend([0] * zeros + [-1] * (r - zeros))
-    return MultiDegree._trusted(tuple(out))
+    return MultiDegree._trusted(out)
 
 
 def restrict(ideal: MonomialIdeal, keep: Iterable[int]) -> MonomialIdeal:
     """Substitute 1 for every variable outside keep and minimalize."""
+    _check_ideal(ideal)
     kept = sorted(set(keep))
     for i in kept:
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= ideal.n:
             raise ValueError(f"kept index {i!r} outside 1..{ideal.n}")
-    names = tuple(ideal.var_names[i - 1] for i in kept)
-    gens = tuple(
-        Monomial._trusted(tuple(m.exponents[i - 1] for i in kept)) for m in ideal.gens
-    )
+    return _restrict(ideal, kept)
+
+
+def _restrict(ideal: MonomialIdeal, kept: Sequence[int]) -> MonomialIdeal:
+    """restrict to indices already known to be ascending, distinct and
+    in 1..n: the projection of each generator, minimalized."""
+    names = tuple([ideal.var_names[i - 1] for i in kept])
+    gens = [Monomial._trusted(tuple([m.exponents[i - 1] for i in kept])) for m in ideal.gens]
     return MonomialIdeal._trusted(names, tuple(minimalize(gens)))
 
 
@@ -139,6 +155,7 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
     becomes t+1, and each copy's is 1.  The result is kept in the
     ideal's memo, so a second call returns the same ideal.
     """
+    _check_ideal(ideal)
     for arg in (var_index, threshold):
         if not isinstance(arg, int) or isinstance(arg, bool):
             raise ValueError(f"variable index and threshold must be integers, got {arg!r}")
@@ -170,6 +187,9 @@ def partial_polarize(ideal: MonomialIdeal, var_index: int, threshold: int) -> Mo
 def depolarize_check(polarized: PolarizedIdeal, ideal: MonomialIdeal) -> bool:
     """Whether collapsing every block of the polarized ideal recovers
     the minimal generators of the given ideal."""
+    if not isinstance(polarized, PolarizedIdeal):
+        raise ValueError(f"polarized {polarized!r} is not a PolarizedIdeal")
+    _check_ideal(ideal)
     if polarized.origin_n != ideal.n:
         return False
     collapsed = minimalize(

@@ -18,12 +18,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import prod
+from operator import lt
 from typing import Iterator, Sequence
 
 from .cech import cech_dims
 from .ideals import Monomial, MonomialIdeal, MultiDegree, _check_ideal, format_ideal, rho
 from .linalg import FieldSpec
-from .polarization import _degree_map, partial_polarize, polarize_ideal, restrict
+from .polarization import _degree_map, _restrict, _windows, partial_polarize, polarize_ideal
 from .simplicial import is_cone
 from .takayama import LCTable, box_table, canonical_box, depth_and_dim, lc_dims, takayama_complex
 
@@ -116,18 +117,22 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
         raise ValueError("the unit ideal has a zero quotient")
     n = ideal.n
     polarized = polarize_ideal(ideal)
+    target, windows = polarized.ideal, _windows(polarized.rho)
     shift = polarized.rho_total - n
+    indices = range(n + 1)
     box = canonical_box(ideal)
     main: list[Mismatch] = []
     window: list[Mismatch] = []
     for degree in box:
         lhs = lc_dims(ideal, degree, field)
-        alpha = _degree_map(degree, polarized.rho)
-        rhs = lc_dims(polarized.ideal, alpha, field)
-        main.extend(_compare(degree, lhs, rhs, shift, range(n + 1))[0])
-        for idx, d in rhs.items():
-            if not shift <= idx <= shift + n:
-                window.append(Mismatch(degree.entries, idx - shift, 0, d))
+        rhs = lc_dims(target, _degree_map(degree, windows), field)
+        # both sides zero: nothing can differ, and the counts below
+        # take in every index of every degree all the same
+        if lhs or rhs:
+            main += _compare(degree, lhs, rhs, shift, indices)[0]
+            for idx, d in rhs.items():
+                if not shift <= idx <= shift + n:
+                    window.append(Mismatch(degree.entries, idx - shift, 0, d))
     checks = (
         CheckResult("main_theorem", len(box), len(box) * (n + 1), tuple(main)),
         CheckResult("rhs_index_window", len(box), len(box), tuple(window)),
@@ -138,15 +143,16 @@ def verify_main_theorem(ideal: MonomialIdeal, field: FieldSpec) -> VerificationR
 def _boxed(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[MonomialIdeal, tuple[int, ...]]:
     """Check that degree lies in the box of ideal; return its copy named
     x1..xn, which no copy x_i_j can clash with, and rho(ideal)."""
+    _check_ideal(ideal)
     if not isinstance(degree, MultiDegree):
         raise ValueError(f"degree {degree!r} is not a MultiDegree")
     if ideal.is_unit:
         raise ValueError("the unit ideal has a zero quotient")
     bounds = rho(ideal)
-    top = tuple(r - 1 for r in bounds)
     if degree.n != ideal.n:
         raise ValueError("degree length does not match variable count")
-    if not degree.leq(top):
+    if not all(map(lt, degree.entries, bounds)):
+        top = tuple(r - 1 for r in bounds)
         raise ValueError(f"degree {degree.entries} exceeds rho - 1 = {top}")
     # kept in the ideal's memo, so the steps at every degree share one
     # renamed ideal and with it its memo of step ideals
@@ -165,9 +171,9 @@ def _cappable(degree: MultiDegree, bounds: tuple[int, ...]) -> list[int]:
 def _step2_data(ideal: MonomialIdeal, degree: MultiDegree) -> Step:
     """Drop the variables at negative coordinates: indices shift down
     by their count."""
-    keep = [j for j in range(1, ideal.n + 1) if degree.entries[j - 1] >= 0]
-    sub = MultiDegree._trusted(tuple(degree.entries[j - 1] for j in keep))
-    return "step2_restriction", restrict(ideal, keep), sub, len(keep) - ideal.n
+    keep = [j for j, a in enumerate(degree.entries, 1) if a >= 0]
+    sub = MultiDegree._trusted(tuple([a for a in degree.entries if a >= 0]))
+    return "step2_restriction", _restrict(ideal, keep), sub, len(keep) - ideal.n
 
 
 def _step3_data(ideal: MonomialIdeal, degree: MultiDegree, j: int, name: str) -> Step:
@@ -225,7 +231,7 @@ def _walk(ideal: MonomialIdeal, degree: MultiDegree) -> Iterator[Step]:
         if degree.entries != top:
             raise AssertionError(f"terminal degree {degree.entries} is not rho - 1")
         polarized = polarize_ideal(ideal)
-        alpha = _degree_map(degree, polarized.rho)
+        alpha = _degree_map(degree, _windows(polarized.rho))
         if any(alpha.entries):
             raise AssertionError(f"terminal degree maps to {alpha.entries}, not 0")
         shift = polarized.rho_total - ideal.n

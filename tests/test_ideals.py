@@ -186,7 +186,7 @@ class TestStoredRho:
 
             return wrapper
 
-        monkeypatch.setattr(verify, "restrict", recorded(verify.restrict))
+        monkeypatch.setattr(verify, "_restrict", recorded(verify._restrict))
         monkeypatch.setattr(verify, "partial_polarize", recorded(verify.partial_polarize))
         monkeypatch.setattr(verify, "_boxed", recorded(verify._boxed, lambda out: out[0]))
         for degree in canonical_box(ideal):

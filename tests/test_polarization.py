@@ -17,7 +17,7 @@ from monolc import (
     restrict,
     rho,
 )
-from monolc.polarization import _degree_map
+from monolc.polarization import _degree_map, _windows
 from conftest import corpus, golden_ideal, many_generators
 
 
@@ -104,18 +104,37 @@ class TestDegreeMap:
 
     def test_helper_equals_degree_map_over_corpus_boxes(self):
         """verify maps each boxed degree with the unchecked helper and the
-        rho vector of its PolarizedIdeal; the public entry point checks
-        rho first and must give the same degree."""
+        windows of its PolarizedIdeal's rho; the public entry point checks
+        rho first.  Both must give the degree that the docstring defines."""
         degrees = 0
         for ideal in corpus(200):
             if ideal.is_unit:
                 continue
             rho_vec = polarize_ideal(ideal).rho
+            windows = _windows(rho_vec)
             for degree in canonical_box(ideal):
-                assert _degree_map(degree, rho_vec) == degree_map(degree, rho_vec), (
-                    ideal, degree)
+                expected = deg(*[e for a, r in zip(degree.entries, rho_vec)
+                                 for e in ([0] * (a + 1) + [-1] * (r - a - 1) if a >= 0
+                                           else [-1] * r)])
+                assert _degree_map(degree, windows) == expected, (ideal, degree)
+                assert degree_map(degree, rho_vec) == expected, (ideal, degree)
                 degrees += 1
         assert degrees > 1000
+
+    def test_entries_below_minus_one_map_to_all_minus_ones(self):
+        for a in (-2, -3, -17):
+            assert degree_map(deg(a, 1), (3, 2)) == deg(-1, -1, -1, 0, 0)
+            assert degree_map(deg(0, a), (3, 2)) == deg(0, -1, -1, -1, -1)
+            assert _degree_map(deg(a, a), _windows((1, 4))) == deg(*[-1] * 5)
+
+    def test_entry_at_block_width_raises_in_each_coordinate(self):
+        for a, r in [((3, 0, 0), (3, 2, 1)), ((2, 2, 0), (3, 2, 1)), ((0, 1, 1), (3, 2, 1))]:
+            bad = next(x for x, w in zip(a, r) if x == w)
+            message = f"^degree entry {bad} not below block width {bad}$"
+            with pytest.raises(ValueError, match=message):
+                degree_map(deg(*a), r)
+            with pytest.raises(ValueError, match=message):
+                _degree_map(deg(*a), _windows(r))
 
     def test_block_sum_formula(self):
         for a, r in [((1, -2), (3, 2)), ((0, 0, -1), (2, 1, 4)), ((-1,), (5,))]:

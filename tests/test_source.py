@@ -140,10 +140,12 @@ def test_only_library_built_values_skip_validation():
         "ideals.py:parse_ideal:Monomial",  # after the parser's own checks
         "ideals.py:parse_ideal:MonomialIdeal",
         "polarization.py:_degree_map:MultiDegree",
+        "polarization.py:_restrict:Monomial",  # indices checked by restrict or verify._boxed
+        "polarization.py:_restrict:MonomialIdeal",  # projections, minimalized
         "polarization.py:partial_polarize:Monomial",
         "polarization.py:partial_polarize:MonomialIdeal",
-        "polarization.py:restrict:Monomial",
-        "polarization.py:restrict:MonomialIdeal",
+        "polarization.py:polarize_ideal:Monomial",  # 0/1 blocks of a checked ideal's gens
+        "polarization.py:polarize_ideal:MonomialIdeal",  # minimalized, names x_i_j distinct
         "simplicial.py:from_facets:SimplicialComplex",  # closed by enumerating subsets
         "takayama.py:_complex:SimplicialComplex",
         "takayama.py:_dims:SimplicialComplex",  # the nerve, grown closed

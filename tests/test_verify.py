@@ -18,6 +18,7 @@ from monolc import (
     canonical_box,
     cech_dims,
     degree_map,
+    depolarize_check,
     depth_and_dim,
     lc_dims,
     lc_table,
@@ -27,6 +28,7 @@ from monolc import (
     polarize_ideal,
     random_ideal,
     rank,
+    restrict,
     rho,
     verify_depth_shift,
     verify_main_theorem,
@@ -408,6 +410,24 @@ class TestFailurePaths:
         assert main.passed
         assert window.failures == (Mismatch((0, 0), ideal.n + 1, 0, 1),)
 
+    def test_a_side_made_nonzero_where_both_sides_are_zero(self, monkeypatch):
+        """The sweep compares only where a side is nonzero, so a fault that
+        turns either side of a truly zero degree nonzero must still show."""
+        ideal = golden_ideal()
+        polarized = polarize_ideal(ideal)
+        shift = polarized.rho_total - ideal.n
+        alpha = degree_map(deg(0, 0), polarized.rho)
+        assert lc_dims(ideal, deg(0, 0), Q) == {} == lc_dims(polarized.ideal, alpha, Q)
+        self.skew_lc_dims(monkeypatch, ideal, deg(0, 0), 1)
+        main, window = verify_main_theorem(ideal, Q).checks
+        assert main.failures == (Mismatch((0, 0), 1, 1, 0),)
+        assert (main.indices_checked, window.passed) == (6 * (ideal.n + 1), True)
+        monkeypatch.undo()
+        self.skew_lc_dims(monkeypatch, polarized.ideal, alpha, shift + ideal.n + 1)
+        main, window = verify_main_theorem(ideal, Q).checks
+        assert main.passed
+        assert window.failures == (Mismatch((0, 0), ideal.n + 1, 0, 1),)
+
     def test_reduction_chain_mismatch(self, monkeypatch):
         ideal = golden_ideal()
         true = lc_dims(ideal, deg(0, 0), Q).get(1, 0)
@@ -476,10 +496,19 @@ class TestArgumentTypes:
         (lambda x: depth_and_dim("x", Q), "ideal 'x' is not a MonomialIdeal"),
         (lambda x: verify_main_theorem("x", Q), "ideal 'x' is not a MonomialIdeal"),
         (lambda x: verify_depth_shift("x", Q), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: partial_polarize("x", 1, 0), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: restrict("x", {1}), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: depolarize_check("x", x), "polarized 'x' is not a PolarizedIdeal"),
+        (lambda x: depolarize_check(polarize_ideal(x), "x"), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: verify_reduction_chain("x", deg(0), Q), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: verify_reduction_to_degree_zero("x", deg(0), Q),
+         "ideal 'x' is not a MonomialIdeal"),
     ], ids=["rank", "lc_dims", "cech_dims", "lc_table", "oracle_table", "depth_and_dim",
             "polarize_ideal", "lc_dims_ideal", "cech_dims_ideal", "canonical_box_ideal",
             "lc_table_ideal", "oracle_table_ideal", "depth_and_dim_ideal",
-            "verify_main_theorem_ideal", "verify_depth_shift_ideal"])
+            "verify_main_theorem_ideal", "verify_depth_shift_ideal", "partial_polarize_ideal",
+            "restrict_ideal", "depolarize_check_polarized", "depolarize_check_ideal",
+            "verify_reduction_chain_ideal", "verify_reduction_to_degree_zero_ideal"])
     def test_names_the_argument(self, call, match):
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             call(parse_ideal("vars x\ngens x"))

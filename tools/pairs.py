@@ -24,6 +24,17 @@ check: the change's IQR against the metric's bound times the parent's
 median.  The same check is printed, one line per metric, with `OVER`
 where the IQR exceeds the bound.  A pair's gap is a win when the change
 is better by the metric's direction; ties count for neither side.
+
+Each metric also gets a verdict, written under `verdict` and printed at
+the end of its line, by the first of these that holds:
+
+- `gain`: the change wins at least 9 of every 10 pairs, and its median
+  is better than the parent's by more than the parent's IQR;
+- `worse`: the change's median is worse than the parent's by more than
+  the metric's bound times the parent's median;
+- `unresolved`: the change's IQR is over that bound, and not every
+  change run is better than every parent run;
+- `same`: otherwise.
 """
 
 from __future__ import annotations
@@ -83,7 +94,25 @@ def compare(runs: list[tuple[dict, dict]], seeds: list[int]) -> dict:
         lo, hi = out["change"][name]["quartiles"]
         bound = m["bound"] * abs(out["parent"][name]["median"])
         out["spread"][name] = {"change_iqr": hi - lo, "bound": bound, "over": hi - lo > bound}
+    out["verdict"] = {m["name"]: verdict(m, out) for m in METRICS}
     return out
+
+
+def verdict(metric: dict, record: dict) -> str:
+    """gain, worse, unresolved or same: see the module docstring."""
+    name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+    parent, change = record["parent"][name], record["change"][name]
+    worse_by = sign * (change["median"] - parent["median"])
+    pairs = record[f"{name}_pairs"]
+    if (10 * record[f"wins_{name}"] >= 9 * len(pairs)
+            and -worse_by > parent["quartiles"][1] - parent["quartiles"][0]):
+        return "gain"
+    if worse_by > record["spread"][name]["bound"]:
+        return "worse"
+    all_better = max(sign * c for _, c in pairs) < min(sign * p for p, _ in pairs)
+    if record["spread"][name]["over"] and not all_better:
+        return "unresolved"
+    return "same"
 
 
 def report(workload: str, record: dict) -> None:
@@ -100,7 +129,8 @@ def report(workload: str, record: dict) -> None:
               f"({rel}), wins {record[f'wins_{name}']}/{record['pairs']}, "
               f"|gap| {abs(gap):.4g} vs parent IQR {p_iqr:.4g}; change IQR "
               f"{spread['change_iqr']:.4g} vs {m['bound']:.0%} of parent median "
-              f"{spread['bound']:.4g}{'  OVER' if spread['over'] else ''}")
+              f"{spread['bound']:.4g}{'  OVER' if spread['over'] else ''}; "
+              f"{record['verdict'][name]}")
 
 
 def commit_of(tree: Path) -> str:
