@@ -15,6 +15,10 @@ generators below a at that position can block: the work follows the
 survivors, not 2^n.  The strand holds only its nonempty levels, from
 |neg| up to the first empty one (no subset of any other size survives),
 and the coboundaries between them, which drop only free positions.
+A strand pays only for what it holds: when a generator blocks the
+negative support itself, it is empty and returns before any setup, and
+a strand of one level (the negative support alone, H^|neg| = k) has no
+coboundary to build, check or rank.
 
 This path shares nothing with the simplicial route except the ideal
 types and linalg: rank, and the coboundary assembly and cohomology count
@@ -28,8 +32,6 @@ rows (clearing, linalg docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import lt
 from typing import Iterable
 
 from .ideals import MonomialIdeal, MultiDegree, _check_ideal
@@ -43,9 +45,16 @@ def _masks(ideal: MonomialIdeal, degree: MultiDegree) -> tuple[int, list[int]]:
         raise ValueError(f"degree {degree!r} is not a MultiDegree")
     if degree.n != ideal.n:
         raise ValueError("degree length does not match variable count")
-    bits, a = [1 << i for i in range(ideal.n)], degree.entries
-    neg = sum(compress(bits, map((0).__gt__, a)))
-    below = [sum(compress(bits, map(lt, a, m.exponents))) for m in ideal.gens]
+    a, neg, below = degree.entries, 0, []
+    for i, e in enumerate(a):
+        if e < 0:
+            neg |= 1 << i
+    for m in ideal.gens:
+        g = 0
+        for i, e in enumerate(m.exponents):
+            if a[i] < e:
+                g |= 1 << i
+        below.append(g)
     return neg, below
 
 
@@ -62,6 +71,7 @@ def cech_piece_nonzero(ideal: MonomialIdeal, degree: MultiDegree, subset: Iterab
     generator divides x^{a + N e_F}, i.e. for every generator some
     coordinate outside F stays strictly below the generator's exponent.
     """
+    _check_ideal(ideal)
     F = set(subset)
     n = ideal.n
     for i in F:
@@ -90,9 +100,16 @@ class CechStrand:
 
 
 def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
+    _check_ideal(ideal)
     n = ideal.n
     neg, below = _masks(ideal, degree)
+    low = neg.bit_count()
+    if not _survives(neg, neg, below):  # a generator blocks neg: nothing survives
+        _assert_complex([], low)
+        return CechStrand(n=n, low=low, levels=(), coboundaries=())
     free = [1 << i for i in range(n) if not neg >> i & 1]  # as bits
+    # for a survivor F, only a generator whose below-mask holds b can block F | b
+    at_risk = [[g for g in below if g & b] for b in free]
     # Survivors are closed under dropping free positions (module docstring),
     # so extending each survivor only by free positions past the last one it
     # added reaches every survivor once, from itself minus its largest free
@@ -100,26 +117,22 @@ def cech_strand(ideal: MonomialIdeal, degree: MultiDegree) -> CechStrand:
     # the first empty level ends the strand.  Entries are (mask, index into
     # free of the next position).
     levels: list[list[tuple[int, int]]] = []
-    if _survives(neg, neg, below):  # else the strand is empty
-        # for a survivor F, only a generator whose below-mask holds b can block F | b
-        at_risk = [[g for g in below if g & b] for b in free]
-        level = [(neg, 0)]
-        while level:
-            levels.append(level)
-            level = []
-            for F, start in levels[-1]:
-                for t in range(start, len(free)):
-                    G = F | free[t]
-                    for g in at_risk[t]:
-                        if not g & ~G:  # g divides x^(a + N e_G)
-                            break
-                    else:
-                        level.append((G, t + 1))
+    level = [(neg, 0)]
+    while level:
+        levels.append(level)
+        level = []
+        for F, start in levels[-1]:
+            for t in range(start, len(free)):
+                G = F | free[t]
+                for g in at_risk[t]:
+                    if not g & ~G:  # g divides x^(a + N e_G)
+                        break
+                else:
+                    level.append((G, t + 1))
     held = tuple([tuple([F for F, _ in level]) for level in levels])
     # each free b in G gives the survivor G - b (closure again); the
     # negative support is never dropped
-    diffs = tuple(_coboundaries(held, sum(free)))
-    low = neg.bit_count()
+    diffs = tuple(_coboundaries(held, sum(free))) if len(held) > 1 else ()
     _assert_complex([d.by_row for d in diffs], low)
     return CechStrand(n=n, low=low, levels=held, coboundaries=diffs)
 
@@ -143,6 +156,8 @@ def cech_dims(ideal: MonomialIdeal, degree: MultiDegree, field: FieldSpec) -> di
     _check_ideal(ideal)
     _check_field(field)
     strand = cech_strand(ideal, degree)
+    if len(strand.levels) < 2:  # no coboundary: nothing, or the negative support alone
+        return {strand.low: 1} if strand.levels else {}
     # every row of a held coboundary has an entry: G minus any free bit
     # survives.  From the top down, each map skips the rows at the last
     # columns of the kept rows of the map above it (clearing).

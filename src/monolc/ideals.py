@@ -8,6 +8,7 @@ equal iff they define the same quotient.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from operator import neg
 from typing import Iterable, Sequence
@@ -236,26 +237,29 @@ def format_ideal(ideal: MonomialIdeal) -> str:
     return vars_line + "\n" + gens_line.rstrip() + "\n"
 
 
-# one token per match: a name, an ASCII integer, any other character, or
-# the end of the line; the group that matched names the token's kind
-_TOKEN_RE = re.compile(
-    rf"[ \t]*(?:(?P<name>{_NAME_RE.pattern})|(?P<int>[0-9]+)|(?P<other>.)|(?P<end>$))"
-)
+# The tokenizer scans each line once, into token texts only: a name, an
+# ASCII integer, or any other character but a space or tab, which only
+# separate tokens.  A token's first character tells its kind, and ""
+# stands for the end of the line.  Columns are found by scanning the line
+# again, and only for an error.
+_TOKEN_RE = re.compile(rf"{_NAME_RE.pattern}|[0-9]+|[^ \t]")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_DIGITS = frozenset(string.digits)
 
 
-def _tokens(body: str) -> list[tuple[str, str, int]]:
-    """(kind, text, 1-based column) for each token of one line, ending in "end"."""
-    return [
-        (m.lastgroup, m[m.lastgroup], m.start(m.lastgroup) + 1)
-        for m in _TOKEN_RE.finditer(body)
-    ]
+def _error(message: str, lineno: int, body: str, k: int) -> ParseError:
+    """The error at token k of a line, the end of the line counting as the
+    token after its last."""
+    cols = [m.start() + 1 for m in _TOKEN_RE.finditer(body)]
+    cols.append(len(body) + 1)
+    return ParseError(message, lineno, cols[k])
 
 
-def _integer(word: str, line: int, col: int) -> int:
+def _integer(lineno: int, body: str, toks: list[str], k: int) -> int:
     try:
-        return int(word)
+        return int(toks[k])
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise ParseError("integer has too many digits", line, col) from None
+        raise _error("integer has too many digits", lineno, body, k) from None
 
 
 def parse_ideal(text: str) -> MonomialIdeal:
@@ -266,70 +270,71 @@ def parse_ideal(text: str) -> MonomialIdeal:
     """
     raw = text.splitlines()
     lines = [
-        (lineno, _tokens(body))
+        (lineno, body)
         for lineno, line in enumerate(raw, start=1)
         if (body := line.split("#", 1)[0]).strip()
     ]
 
-    def keyword_line(i: int, keyword: str) -> tuple[int, list[tuple[str, str, int]]]:
+    def keyword_line(i: int, keyword: str) -> tuple[int, str, list[str]]:
         if i >= len(lines):
             raise ParseError(f"expected a {keyword} line", len(raw) + 1, 1)
-        lineno, toks = lines[i]
-        kind, word, col = toks[0]
-        if kind != "name":
-            raise ParseError("expected a name", lineno, col)
-        if word != keyword:
+        lineno, body = lines[i]
+        toks = _TOKEN_RE.findall(body)
+        toks.append("")
+        if toks[0] != keyword:
+            if toks[0][0] not in _NAME_START:
+                raise _error("expected a name", lineno, body, 0)
             raise ParseError(f"expected a {keyword} line", lineno, 1)
-        return lineno, toks
+        return lineno, body, toks
 
-    lineno, toks = keyword_line(0, "vars")
-    names = [word for kind, word, _ in toks[1:] if kind == "name"]
-    kind, _, col = next(t for t in toks[1:] if t[0] != "name")
-    if kind != "end":
-        raise ParseError("expected a name", lineno, col)
+    lineno, body, toks = keyword_line(0, "vars")
+    end = len(toks) - 1
+    for k in range(1, end):
+        if toks[k][0] not in _NAME_START:
+            raise _error("expected a name", lineno, body, k)
+    names = toks[1:end]
     if not names:
-        raise ParseError("vars line declares no variables", lineno, col)
+        raise _error("vars line declares no variables", lineno, body, end)
     if len(set(names)) != len(names):
-        raise ParseError("duplicate variable name", lineno, col)
+        raise _error("duplicate variable name", lineno, body, end)
 
-    lineno, toks = keyword_line(1, "gens")
+    lineno, body, toks = keyword_line(1, "gens")
     if len(lines) > 2:
         raise ParseError("unexpected extra line", lines[2][0], 1)
     index_of = {nm: i for i, nm in enumerate(names)}
     gens: list[Monomial] = []
     i = 1
-    while toks[i][0] != "end":
+    while toks[i]:
         exps = [0] * len(names)
         while True:
-            kind, word, col = toks[i]
-            if kind == "int":
-                if _integer(word, lineno, col) != 1:
-                    raise ParseError("only the factor 1 may be a bare integer", lineno, col)
-            elif kind != "name":
-                raise ParseError("expected a name", lineno, col)
-            elif word not in index_of:
-                raise ParseError(f"unknown variable {word!r}", lineno, col)
-            else:
-                var, e = index_of[word], 1
-                if toks[i + 1][1] == "^":
+            word = toks[i]
+            var = index_of.get(word)
+            if var is not None:
+                e = 1
+                if toks[i + 1] == "^":
                     i += 2
-                    kind, word, col = toks[i]
-                    if kind != "int":
-                        raise ParseError("expected a non-negative integer", lineno, col)
-                    e = _integer(word, lineno, col)
+                    if toks[i][:1] not in _DIGITS:
+                        raise _error("expected a non-negative integer", lineno, body, i)
+                    e = _integer(lineno, body, toks, i)
                 exps[var] += e
+            elif word[:1] in _DIGITS:
+                if _integer(lineno, body, toks, i) != 1:
+                    raise _error("only the factor 1 may be a bare integer", lineno, body, i)
+            elif word[:1] in _NAME_START:
+                raise _error(f"unknown variable {word!r}", lineno, body, i)
+            else:
+                raise _error("expected a name", lineno, body, i)
             i += 1
-            if toks[i][1] != "*":
+            if toks[i] != "*":
                 break
             i += 1
         gens.append(Monomial._trusted(tuple(exps)))
-        kind, word, col = toks[i]
-        if kind != "end":
+        if word := toks[i]:
             if word != ",":
-                raise ParseError("expected ','", lineno, col)
+                raise _error("expected ','", lineno, body, i)
             i += 1
-            if toks[i][0] == "end":
-                raise ParseError("trailing comma", lineno, toks[i][2])
+            if not toks[i]:
+                raise _error("trailing comma", lineno, body, i)
     # the checks above are the constructors': names distinct and valid,
     # exponents from [0-9]+, every vector of length n
     return MonomialIdeal._trusted(tuple(names), tuple(minimalize(gens)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import FieldSpec, _coboundaries, _cohomology, rank
+from .linalg import FieldSpec, _check_field, _coboundaries, _cohomology, rank
 
 
 def _mask_of(face: Iterable[int], n_vertices: int) -> int:
@@ -139,6 +139,9 @@ def reduced_cohomology_dims(cx: SimplicialComplex, field: FieldSpec) -> dict[int
     Returns a map index -> dimension containing only nonzero entries;
     the void complex gives {} and {emptyset} gives {-1: 1}.
     """
+    if not isinstance(cx, SimplicialComplex):
+        raise ValueError(f"complex {cx!r} is not a SimplicialComplex")
+    _check_field(field)  # rank checks it too, but a complex may have nothing to rank
     # faces by size up to the largest, each level in increasing mask order;
     # faces are downward closed, so none of these levels is empty
     top = max(map(int.bit_count, cx.masks), default=-1)

@@ -170,8 +170,11 @@ def _cappable(degree: MultiDegree, bounds: tuple[int, ...]) -> list[int]:
 
 def _step2_data(ideal: MonomialIdeal, degree: MultiDegree) -> Step:
     """Drop the variables at negative coordinates: indices shift down
-    by their count."""
+    by their count.  With none to drop, the step keeps the ideal it is
+    given, which equals its restriction to every variable."""
     keep = [j for j, a in enumerate(degree.entries, 1) if a >= 0]
+    if len(keep) == ideal.n:
+        return "step2_restriction", ideal, degree, 0
     sub = MultiDegree._trusted(tuple([a for a in degree.entries if a >= 0]))
     return "step2_restriction", _restrict(ideal, keep), sub, len(keep) - ideal.n
 

@@ -441,6 +441,57 @@ class TestParser:
         except ParseError:
             pass
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_well_formed_text_parses_to_the_checked_ideal(self, data):
+        """Random spaces and tabs between tokens, comments, blank lines,
+        CRLF endings, factors 1, repeated factors, ^0 and zero-padded
+        exponents: the text parses to the ideal the validating constructors
+        build from the same names and exponents."""
+        draw = data.draw
+        names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+                              min_size=1, max_size=4, unique=True))
+        space = st.text(" \t", max_size=2)
+        sep = st.text(" \t", min_size=1, max_size=2)
+        comment = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=5)
+        newline = st.sampled_from(["\n", "\r\n"])
+
+        def end_of_line():
+            tail = draw(space)
+            if draw(st.booleans()):
+                tail += "#" + draw(comment)
+            return tail + draw(newline)
+
+        def filler():
+            return "".join(draw(space) + end_of_line() for _ in range(draw(st.integers(0, 2))))
+
+        gens, written = [], []
+        for _ in range(draw(st.integers(0, 4))):
+            exps, factors = [0] * len(names), []
+            for _ in range(draw(st.integers(1, 4))):
+                if draw(st.integers(0, 4)) == 0:
+                    factors.append("1")
+                    continue
+                var, e = draw(st.integers(0, len(names) - 1)), draw(st.integers(0, 12))
+                exps[var] += e
+                if e == 1 and draw(st.booleans()):
+                    factors.append(names[var])
+                else:
+                    zeros = "0" * draw(st.integers(0, 2))
+                    factors.append(f"{names[var]}{draw(space)}^{draw(space)}{zeros}{e}")
+            gens.append(Monomial(tuple(exps)))
+            written.append("".join(f + draw(space) + "*" + draw(space) for f in factors[:-1])
+                           + factors[-1])
+        vars_line = draw(space) + "vars" + "".join(draw(sep) + nm for nm in names)
+        gens_line = draw(space) + "gens" + (draw(sep) if written else "") + "".join(
+            w + draw(space) + "," + draw(space) for w in written[:-1]) + "".join(written[-1:])
+        text = (filler() + vars_line + end_of_line() + filler() + gens_line + end_of_line()
+                + filler())
+        expected = MonomialIdeal(tuple(names), tuple(gens))
+        parsed = parse_ideal(text)
+        assert (parsed, parsed.var_names, parsed.gens) == (
+            expected, expected.var_names, expected.gens), text
+
 
 class TestFormatting:
     def test_format_monomial(self):

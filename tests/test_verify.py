@@ -14,9 +14,12 @@ from monolc import (
     MonomialIdeal,
     MultiDegree,
     SparseMatrix,
+    SimplicialComplex,
     VerificationReport,
     canonical_box,
     cech_dims,
+    cech_piece_nonzero,
+    cech_strand,
     degree_map,
     depolarize_check,
     depth_and_dim,
@@ -29,6 +32,7 @@ from monolc import (
     random_ideal,
     rank,
     restrict,
+    reduced_cohomology_dims,
     rho,
     verify_depth_shift,
     verify_main_theorem,
@@ -500,6 +504,13 @@ class TestArgumentTypes:
         (lambda x: restrict("x", {1}), "ideal 'x' is not a MonomialIdeal"),
         (lambda x: depolarize_check("x", x), "polarized 'x' is not a PolarizedIdeal"),
         (lambda x: depolarize_check(polarize_ideal(x), "x"), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: cech_strand("x", deg(0)), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: cech_piece_nonzero("x", deg(0), ()), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: reduced_cohomology_dims(SimplicialComplex(1, [()]), "x"),
+         "field 'x' is not a FieldSpec"),
+        (lambda x: reduced_cohomology_dims(SimplicialComplex.void(2), "x"),
+         "field 'x' is not a FieldSpec"),
+        (lambda x: reduced_cohomology_dims("x", Q), "complex 'x' is not a SimplicialComplex"),
         (lambda x: verify_reduction_chain("x", deg(0), Q), "ideal 'x' is not a MonomialIdeal"),
         (lambda x: verify_reduction_to_degree_zero("x", deg(0), Q),
          "ideal 'x' is not a MonomialIdeal"),
@@ -508,6 +519,8 @@ class TestArgumentTypes:
             "lc_table_ideal", "oracle_table_ideal", "depth_and_dim_ideal",
             "verify_main_theorem_ideal", "verify_depth_shift_ideal", "partial_polarize_ideal",
             "restrict_ideal", "depolarize_check_polarized", "depolarize_check_ideal",
+            "cech_strand_ideal", "cech_piece_nonzero_ideal", "reduced_cohomology_dims_irrelevant",
+            "reduced_cohomology_dims_void", "reduced_cohomology_dims_complex",
             "verify_reduction_chain_ideal", "verify_reduction_to_degree_zero_ideal"])
     def test_names_the_argument(self, call, match):
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
