@@ -120,6 +120,8 @@ def format_complex(cx: SimplicialComplex, names: Sequence[str]) -> str:
 
 def is_cone(cx: SimplicialComplex, apex: int) -> bool:
     """Whether every face stays a face after adjoining the apex."""
+    if not isinstance(cx, SimplicialComplex):
+        raise ValueError(f"complex {cx!r} is not a SimplicialComplex")
     if cx.is_void:
         raise ValueError("the void complex is not a cone over anything")
     if type(apex) is not int or not 1 <= apex <= cx.n_vertices:

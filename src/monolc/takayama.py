@@ -15,8 +15,14 @@ generator exponents it is below, so the canonical box splits into
 cells of equal complexes.  `lc_table` and `depth_and_dim` sweep it by
 cells, fixing one coordinate at a time and skipping subtrees that are
 void, and compute once per cell; `depth_and_dim` reads its two indices
-off the cells.  `box_table` still goes degree by degree, which keeps
-the Čech oracle a per-degree check.
+off the cells.  Coordinates with equal exponent columns are twins:
+swapping them maps I onto itself and a cell onto a cell with the same
+cohomology, so `depth_and_dim` visits one cell per orbit of the swaps,
+the one whose runs do not decrease along the twins, while `lc_table`
+still lists every cell.  On a polarization the copies of a variable
+are mostly twins, which takes the polarized sweep off 2^(rho total).
+`box_table` still goes degree by degree, which keeps the Čech oracle a
+per-degree check.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ def takayama_complex(ideal: MonomialIdeal, degree: MultiDegree) -> SimplicialCom
     has a_j strictly below the generator's exponent.  If the ideal is
     zero the complex is the full simplex on those positions.
     """
+    _check_ideal(ideal)
     return _complex(ideal.n, *_blockers(ideal, degree))
 
 
@@ -252,7 +259,7 @@ def box_table(ideal: MonomialIdeal, field: FieldSpec, dims_of: Callable) -> LCTa
 
 
 def _cells(
-    ideal: MonomialIdeal, field: FieldSpec
+    ideal: MonomialIdeal, field: FieldSpec, _orbits: bool = False
 ) -> Iterator[tuple[tuple[range, ...], dict[int, int]]]:
     """The cells of the canonical box with nonzero cohomology, depth
     first: per cell a range of values for each coordinate, and the map
@@ -265,6 +272,17 @@ def _cells(
     generators it is below.  Once a generator has no blocker and no
     later coordinate has a positive exponent in it, every degree below
     is void, and that subtree is skipped.
+
+    With _orbits, only one cell per orbit of the twin swaps is kept.
+    Coordinates are twins when their exponent columns over the minimal
+    generators are equal; swapping two maps I onto itself, and so the
+    complex at a onto the complex at the swapped degree, relabeled.  Twins
+    have equal rho and runs, so a swap permutes the cells and keeps each
+    one's dims.  The kept cell of an orbit is the one whose runs do not
+    decrease along each set of twins: a coordinate takes no run starting
+    below the run of its previous twin, the last earlier coordinate with
+    an equal column.  `lc_table` lists every degree, so it keeps every
+    cell.
     """
     _check_ideal(ideal)
     _check_field(field)
@@ -282,6 +300,12 @@ def _cells(
         for lo, hi in zip(cuts, cuts[1:]):
             level.append((range(lo, hi), 1 << j, [1 << j if lo < e[j] else 0 for e in gens]))
         levels.append(level[::-1])  # the stack pops them in increasing order
+    twin: list[int | None] = [None] * n  # per coordinate, its previous twin
+    if _orbits:
+        last: dict[tuple[int, ...], int] = {}
+        for j, column in enumerate(zip(*gens) if gens else [()] * n):
+            twin[j] = last.get(column)
+            last[column] = j
     stack = [(0, 0, [0] * len(gens), ())]
     while stack:
         j, wmask, blockers, runs = stack.pop()
@@ -290,7 +314,10 @@ def _cells(
                 _check(dims, n, runs)
                 yield runs, dims
             continue
+        low = -1 if (t := twin[j]) is None else runs[t].start
         for values, bit, adds in levels[j]:
+            if values.start < low:
+                break  # this run and the rest start below the twin's
             grown = [b | add for b, add in zip(blockers, adds)] if bit else blockers
             if all(map(grown.__getitem__, closing[j])):
                 stack.append((j + 1, wmask | bit, grown, runs + (values,)))
@@ -312,8 +339,11 @@ def depth_and_dim(
     """Depth and Krull dimension of S/I: the least and greatest index i
     with H^i_m(S/I) nonzero somewhere on the canonical box, read off its
     cells.  The unit ideal raises ValueError.  table is accepted, for
-    the benchmark's golden gate, and not read."""
-    indices = {i for _, dims in _cells(ideal, field) for i in dims}
+    the benchmark's golden gate, and not read.
+
+    Only one cell per orbit of the twin swaps is visited (see `_cells`):
+    a swap keeps each cell's dims, so the set of indices is the same."""
+    indices = {i for _, dims in _cells(ideal, field, _orbits=True) for i in dims}
     if not indices:
         raise AssertionError("a nonzero quotient must have nonzero local cohomology")
     return DepthDim(depth=min(indices), dim=max(indices))

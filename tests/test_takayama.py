@@ -32,6 +32,7 @@ from monolc import (
     verify_main_theorem,
     verify_reduction_chain,
     verify_reduction_to_degree_zero,
+    verify_depth_shift,
 )
 from monolc import takayama
 from conftest import corpus, edge_ideal, golden_ideal, many_generators
@@ -736,3 +737,79 @@ class TestCellSweep:
         for sweep in (lc_table, depth_and_dim):
             with pytest.raises(AssertionError, match="cohomology index 3 outside 0..2"):
                 sweep(golden_ideal(), Q)
+
+    @staticmethod
+    def _count_dims(monkeypatch):
+        """The argument tuples of every _dims call from now on."""
+        dims, calls = takayama._dims, []
+
+        def counted(*args):
+            calls.append(args)
+            return dims(*args)
+
+        monkeypatch.setattr(takayama, "_dims", counted)
+        return calls
+
+    def test_depth_and_dim_visits_one_cell_per_twin_orbit(self, monkeypatch):
+        """The 12 copies of x in the polarization of (x^12) are twins, so
+        the cells whose runs do not decrease along them are the 13 with
+        the first c copies at -1.  Without orbits every cell but the void
+        one with all copies at -1 reaches _dims, 2^12 - 1 of them."""
+        calls = self._count_dims(monkeypatch)
+        side = polarize_ideal(parse_ideal("vars x\ngens x^12")).ideal
+        assert depth_and_dim(side, F2) == DepthDim(11, 11)
+        assert 1 <= len(calls) <= 13
+        calls.clear()
+        lc_table(side, F2)
+        assert len(calls) == 2**12 - 1
+
+    def test_zero_ideal_coordinates_are_all_twins(self, monkeypatch):
+        """With no generator every column is empty, so all 16 coordinates
+        are twins: 17 cells instead of 2^16."""
+        calls = self._count_dims(monkeypatch)
+        zero = parse_ideal("vars " + " ".join(VARS16) + "\ngens")
+        assert depth_and_dim(zero, Q) == DepthDim(16, 16)
+        assert 1 <= len(calls) <= 17
+
+    def test_distinct_columns_keep_every_cell(self, monkeypatch):
+        """With no two exponent columns equal there are no twins, and
+        depth_and_dim reaches _dims at every cell that lc_table does."""
+        calls = self._count_dims(monkeypatch)
+        checked = 0
+        for ideal in corpus(200) + many_generators(40):
+            gens = [m.exponents for m in ideal.gens]
+            columns = [tuple(e[j] for e in gens) for j in range(ideal.n)]
+            if ideal.is_unit or len(set(columns)) < len(columns):
+                continue
+            calls.clear()
+            lc_table(ideal, Q)
+            cells = len(calls)
+            calls.clear()
+            depth_and_dim(ideal, Q)
+            assert len(calls) == cells, ideal
+            checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("field", [Q, F2, FieldSpec.gf(32003)], ids=str)
+    def test_orbits_equal_the_per_degree_sweep_on_twin_rich_ideals(self, field):
+        texts = [f"vars x\ngens x^{k}" for k in range(1, 13)]
+        texts += [f"vars x y\ngens x^{a}, y^{b}" for a in range(1, 6) for b in range(1, 6)]
+        texts += ["vars x1 x2 x3\ngens x1^2*x2^2*x3^2",
+                  "vars x1 x2 x3\ngens x1^3*x2^3*x3, x1*x2*x3^3"]
+        for text in texts:
+            ideal = parse_ideal(text)
+            for side in (ideal, polarize_ideal(ideal).ideal):
+                reference = takayama.box_table(side, field, lc_dims)
+                indices = {i for _, i, _ in reference.entries}
+                dd = depth_and_dim(side, field)
+                assert (dd.depth, dd.dim) == (min(indices), max(indices)), side
+
+    def test_depth_shift_on_a_large_power(self, monkeypatch):
+        """The polarized box of (x^30) holds 2^30 degrees; the two sweeps
+        reach _dims at most 31 + 31 times."""
+        calls = self._count_dims(monkeypatch)
+        report = verify_depth_shift(parse_ideal("vars x\ngens x^30"), Q)
+        assert report.passed
+        (check,) = report.checks
+        assert check.degrees_checked == 31 + 2**30
+        assert len(calls) <= 62

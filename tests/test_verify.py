@@ -23,6 +23,7 @@ from monolc import (
     degree_map,
     depolarize_check,
     depth_and_dim,
+    is_cone,
     lc_dims,
     lc_table,
     oracle_table,
@@ -34,6 +35,7 @@ from monolc import (
     restrict,
     reduced_cohomology_dims,
     rho,
+    takayama_complex,
     verify_depth_shift,
     verify_main_theorem,
     verify_reduction_chain,
@@ -514,6 +516,8 @@ class TestArgumentTypes:
         (lambda x: verify_reduction_chain("x", deg(0), Q), "ideal 'x' is not a MonomialIdeal"),
         (lambda x: verify_reduction_to_degree_zero("x", deg(0), Q),
          "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: takayama_complex("x", deg(0)), "ideal 'x' is not a MonomialIdeal"),
+        (lambda x: is_cone("x", 1), "complex 'x' is not a SimplicialComplex"),
     ], ids=["rank", "lc_dims", "cech_dims", "lc_table", "oracle_table", "depth_and_dim",
             "polarize_ideal", "lc_dims_ideal", "cech_dims_ideal", "canonical_box_ideal",
             "lc_table_ideal", "oracle_table_ideal", "depth_and_dim_ideal",
@@ -521,7 +525,8 @@ class TestArgumentTypes:
             "restrict_ideal", "depolarize_check_polarized", "depolarize_check_ideal",
             "cech_strand_ideal", "cech_piece_nonzero_ideal", "reduced_cohomology_dims_irrelevant",
             "reduced_cohomology_dims_void", "reduced_cohomology_dims_complex",
-            "verify_reduction_chain_ideal", "verify_reduction_to_degree_zero_ideal"])
+            "verify_reduction_chain_ideal", "verify_reduction_to_degree_zero_ideal",
+            "takayama_complex_ideal", "is_cone_complex"])
     def test_names_the_argument(self, call, match):
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             call(parse_ideal("vars x\ngens x"))
